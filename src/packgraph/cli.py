@@ -25,44 +25,18 @@ from .graph import (
     packing_weight,
     save_instance,
 )
-from .oracles import ALGORITHM_KINDS, audit_instance, run_algorithm
+from .oracles import (
+    ALGORITHMS,
+    OracleCapError,
+    RatioReport,
+    algorithm_spec,
+    audit_instance,
+    guarantee_bound,
+    run_algorithm,
+)
 from .tsp import exact_max_tsp, heuristic_max_tsp
 
-ALGORITHMS = tuple(ALGORITHM_KINDS)
 TSP_SOLVERS = {"exact": exact_max_tsp, "greedy": heuristic_max_tsp}
-
-
-def guarantee_bound(algo: str, k: int, class_tag: str) -> Optional[Fraction]:
-    """The proven lower bound on the approximation ratio for (algo, class),
-    assuming the exact TSP black box where one is involved."""
-    metric = class_tag in ("metric", "one_two")
-    F = Fraction
-    if algo == "alg1" and metric:
-        return F(7 * k - 1, 8 * k) * F(k - 1, k)
-    if algo == "alg2" and metric and k % 2 == 0:
-        return F(7, 8) * F((k - 1) ** 2 + 1, k * (k - 1))
-    if algo == "alg3" and metric and k % 2 == 1:
-        return F(3 * k - 1, 4 * k)
-    if algo == "alg4" and metric:
-        return F(k - 1, k)
-    if algo == "kpp-combined" and metric and k % 2 == 0:
-        return F(27 * k * k - 48 * k + 16, 32 * k * k - 36 * k - 24)
-    if algo == "alg6":
-        return F(3, 4)
-    if algo == "alg7":
-        if class_tag == "one_two":
-            return F(7, 8)
-        if metric:
-            return F(5, 6)
-    if algo == "alg8" and metric:
-        return F(14, 17)
-    if algo == "general4pp":
-        return F(3, 4)
-    if algo == "reduce12" and class_tag == "one_two":
-        return F(1)
-    if algo == "3cp911" and class_tag == "one_two":
-        return F(9, 11)
-    return None
 
 
 class VerificationFailure(Exception):
@@ -151,6 +125,7 @@ def cmd_solve(args) -> int:
     k = args.k if args.k is not None else (fx.k if fx else None)
     if k is None:
         raise SystemExit2("--k is required for file inputs")
+    kind = algorithm_spec(algo, k).kind
     if g.n % k != 0:
         raise SystemExit2(f"n={g.n} not divisible by k={k}")
     matching_override = None
@@ -172,7 +147,6 @@ def cmd_solve(args) -> int:
                 raise SystemExit2("--override-plan needs --override-matching")
             plan = _parse_plan_file(args.override_plan, matching_override)
     tsp = TSP_SOLVERS[args.tsp]
-    kind = ALGORITHM_KINDS[algo]
     if args.oracle:
         try:
             (rep,) = audit_instance(
@@ -184,50 +158,40 @@ def cmd_solve(args) -> int:
                 matching_override=matching_override,
                 plan=plan,
             )
-        except ValueError:
-            # above the DP cap; fixtures carry a scripted optimum instead
+        except OracleCapError:
+            # fixtures carry a scripted optimum instead
             if fx is None or "opt_weight" not in fx.expected:
                 raise
             rep = _fixture_oracle_report(
                 g, fx, algo, k, tsp, matching_override, plan, getattr(args, "in")
             )
-        packing, _ = run_algorithm(
-            g, algo, k, tsp, matching_override=matching_override, plan=plan
-        )
-        doc = {
-            "instance": getattr(args, "in"),
-            "algorithm": algo,
-            "k": k,
-            "kind": kind,
-            "weight": rep.algorithm_weight,
-            "denom": g.denom,
-            "oracle_weight": rep.oracle_weight,
-            "ratio": _fraction_str(rep.ratio),
-            "ratio_decimal": float(rep.ratio),
-            "packing": _packing_blocks(packing),
-            "audits": [
-                {
-                    "name": a.name,
-                    "lhs": _fraction_str(a.lhs),
-                    "rhs": _fraction_str(a.rhs),
-                    "holds": a.holds,
-                }
-                for a in rep.audits
-            ],
-        }
+        packing = rep.packing
     else:
         packing, _ = run_algorithm(
             g, algo, k, tsp, matching_override=matching_override, plan=plan
         )
-        doc = {
-            "instance": getattr(args, "in"),
-            "algorithm": algo,
-            "k": k,
-            "kind": kind,
-            "weight": packing_weight(g, packing),
-            "denom": g.denom,
-            "packing": _packing_blocks(packing),
-        }
+    doc = {
+        "instance": getattr(args, "in"),
+        "algorithm": algo,
+        "k": k,
+        "kind": kind,
+        "weight": packing_weight(g, packing),
+        "denom": g.denom,
+        "packing": _packing_blocks(packing),
+    }
+    if args.oracle:
+        doc["oracle_weight"] = rep.oracle_weight
+        doc["ratio"] = _fraction_str(rep.ratio)
+        doc["ratio_decimal"] = float(rep.ratio)
+        doc["audits"] = [
+            {
+                "name": a.name,
+                "lhs": _fraction_str(a.lhs),
+                "rhs": _fraction_str(a.rhs),
+                "holds": a.holds,
+            }
+            for a in rep.audits
+        ]
     if args.format == "json":
         _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     else:
@@ -241,9 +205,6 @@ def cmd_solve(args) -> int:
 
 
 def _fixture_oracle_report(g, fx, algo, k, tsp, matching_override, plan, iid):
-    from .fixtures import run_fixture_checks
-    from .oracles import RatioReport
-
     rows = run_fixture_checks(fx.id)
     for name, expected, actual in rows:
         if expected != actual:
@@ -259,7 +220,8 @@ def _fixture_oracle_report(g, fx, algo, k, tsp, matching_override, plan, iid):
         algorithm_weight=w,
         oracle_weight=opt,
         ratio=Fraction(w, opt),
-        audits=list(audits),
+        audits=audits,
+        packing=packing,
     )
 
 
@@ -309,8 +271,7 @@ def cmd_fixtures(args) -> int:
 def cmd_bench(args) -> int:
     algos = args.algos.split(",")
     for a in algos:
-        if a not in ALGORITHMS:
-            raise SystemExit2(f"unknown algorithm {a!r}")
+        algorithm_spec(a, args.k)
     class_tag = getattr(args, "class")
     tsp = TSP_SOLVERS[args.tsp]
     rows = []
@@ -397,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="run an algorithm on an instance")
     s.add_argument("--in", required=True, help="instance file or fixture id")
-    s.add_argument("--algo", required=True, choices=ALGORITHMS)
+    s.add_argument("--algo", required=True, choices=tuple(ALGORITHMS))
     s.add_argument("--k", type=int)
     s.add_argument("--tsp", default="exact", choices=sorted(TSP_SOLVERS))
     s.add_argument("--oracle", action="store_true")

@@ -21,6 +21,7 @@ from .graph import (
     is_metric,
     make_matching,
     matching_weight,
+    require_divisible,
 )
 from .matching import (
     max_weight_matching_of_size,
@@ -50,8 +51,10 @@ class EdgeGroupPlan:
         return make_matching(e for grp in self.groups for e in grp)
 
 
-def _warn_if_not_metric(g: WeightedCompleteGraph, algo: str) -> None:
-    # ratio guarantees, not validity, depend on metricity, so warn not abort
+def _warn_if_not_metric(g, algo: str, stacklevel: int = 3) -> None:
+    # ratio guarantees, not validity, depend on metricity, so warn not abort;
+    # a private helper one call below the public function passes stacklevel=4
+    # so that the warning points at the caller of the public function
     if g.class_tag in ("metric", "one_two"):
         return
     ok, triple = is_metric(g)
@@ -59,7 +62,7 @@ def _warn_if_not_metric(g: WeightedCompleteGraph, algo: str) -> None:
         warnings.warn(
             f"{algo}: input is not metric (violating triple {triple}); "
             "the approximation guarantee does not apply",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -94,12 +97,15 @@ def alg1_metric_kcp(
 
     Output weight is at least (1 - 1/k) of the tour weight on every input.
     """
-    if g.n % k != 0:
-        raise ValueError(f"n={g.n} not divisible by k={k}")
-    _warn_if_not_metric(g, "alg1")
-    H = tsp_solver(g)
+    require_divisible(g.n, k)
+    return _alg1(g, k, tsp_solver(g))[0]
+
+
+def _alg1(g: WeightedCompleteGraph, k: int, H: HamiltonianCycle):
+    """Alg.1 on the tour H; returns (packing, the split k-path packing)."""
+    _warn_if_not_metric(g, "alg1", stacklevel=4)
     P = split_cycle_best_offset(g, H, k, objective="plain")
-    return complete_paths(g, P)
+    return complete_paths(g, P), P
 
 
 def alg2_metric_kcp_even(
@@ -112,13 +118,17 @@ def alg2_metric_kcp_even(
     """
     if k % 2 != 0:
         raise ValueError("alg2 needs even k")
-    if g.n % k != 0:
-        raise ValueError(f"n={g.n} not divisible by k={k}")
-    _warn_if_not_metric(g, "alg2")
-    H = tsp_solver(g)
+    require_divisible(g.n, k)
+    return _alg2(g, k, tsp_solver(g))[0]
+
+
+def _alg2(g: WeightedCompleteGraph, k: int, H: HamiltonianCycle):
+    """Alg.2 on the tour H; returns (packing, the split k-path packing whose
+    i-th path closes into the i-th cycle)."""
+    _warn_if_not_metric(g, "alg2", stacklevel=4)
     P = split_cycle_best_offset(g, H, k, objective="alg2")
     cycles = tuple(best_cycle_from_path(g, p) for p in P.paths)
-    return KCyclePacking(k=k, cycles=cycles)
+    return KCyclePacking(k=k, cycles=cycles), P
 
 
 # ---------------------------------------------------------------------------
@@ -242,28 +252,39 @@ def alg3_matching_kcp_odd(
     """
     if k % 2 == 0 or k < 3:
         raise ValueError("alg3 needs odd k >= 3")
-    if g.n % k != 0:
-        raise ValueError(f"n={g.n} not divisible by k={k}")
-    _warn_if_not_metric(g, "alg3")
+    require_divisible(g.n, k)
+    return _splice_matching(g, k, "cycle", plan)[0]
+
+
+def _splice_matching(
+    g: WeightedCompleteGraph, k: int, kind: str, plan: Optional[EdgeGroupPlan]
+):
+    """Alg.3 (cycles, odd k) and Alg.5 (paths, even k): a maximum-weight
+    matching of size (n/k)m in groups of m = (k-1)/2 resp. (k-2)/2 edges,
+    each group spliced with its isolated vertex resp. endpoint pair.
+
+    Returns (packing, the plan used).
+    """
+    iso = 1 if kind == "cycle" else 2
+    _warn_if_not_metric(g, "alg3" if kind == "cycle" else "alg5", stacklevel=4)
     groups = g.n // k
-    m = (k - 1) // 2
-    p = groups * m
+    p = groups * ((k - iso) // 2)
     opt_matching = max_weight_matching_of_size(g, p)
     if plan is None:
-        plan = default_plan(g, opt_matching, groups, iso_per_group=1)
+        plan = default_plan(g, opt_matching, groups, iso_per_group=iso)
     else:
         got = plan.matching()
         if got.size != p or matching_weight(g, got) != matching_weight(g, opt_matching):
             raise ValueError("plan inconsistent with the maximum-weight matching")
-    cycles = []
-    for edges, v in zip(plan.groups, plan.isolated):
-        ordered = _order_group_edges(g, edges)
-        oriented = _best_orientation(g, (v, v), ordered)
-        cyc = [v]
-        for t, h in oriented:
-            cyc.extend((t, h))
-        cycles.append(tuple(cyc))
-    return KCyclePacking(k=k, cycles=tuple(cycles))
+    blocks = []
+    for edges, ends in zip(plan.groups, plan.isolated):
+        ends = (ends, ends) if kind == "cycle" else ends
+        oriented = _best_orientation(g, ends, _order_group_edges(g, edges))
+        block = (ends[0],) + tuple(v for e in oriented for v in e)
+        blocks.append(block if kind == "cycle" else block + (ends[1],))
+    if kind == "cycle":
+        return KCyclePacking(k=k, cycles=tuple(blocks)), plan
+    return KPathPacking(k=k, paths=tuple(blocks)), plan
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +321,14 @@ def alg6_general_4cp(
     Returns (cycle packing, the intermediate 4-path packing P4); the path
     packing weight equals w(M*) + w(contracted matching).
     """
-    if g.n % 4 != 0:
-        raise ValueError(f"n={g.n} not divisible by 4")
-    mstar = matching_override or max_weight_perfect_matching(g)
-    if matching_override is not None and 2 * mstar.size != g.n:
+    require_divisible(g.n, 4)
+    return _alg6(g, matching_override or max_weight_perfect_matching(g))[:2]
+
+
+def _alg6(g: WeightedCompleteGraph, mstar: Matching):
+    """Alg.6 on the perfect matching M*; returns (cycle packing, P4, weight
+    of the maximum-weight perfect matching of the contracted graph)."""
+    if 2 * mstar.size != g.n:
         raise ValueError("matching override is not perfect")
     wmat, conn = _contract_best_connector(g, mstar)
     super_match = max_weight_perfect_matching_matrix(wmat)
@@ -314,7 +339,7 @@ def alg6_general_4cp(
         z = next(t for t in mstar.edges[j] if t != y)
         paths.append((u, x, y, z))
     P4 = KPathPacking(k=4, paths=tuple(paths))
-    return complete_paths(g, P4), P4
+    return complete_paths(g, P4), P4, sum(wmat[i][j] for i, j in super_match)
 
 
 def alg7_metric_4cp(
@@ -327,8 +352,7 @@ def alg7_metric_4cp(
     super-vertices yields the maximum-weight 4-cycle packing containing every
     edge of M*.
     """
-    if g.n % 4 != 0:
-        raise ValueError(f"n={g.n} not divisible by 4")
+    require_divisible(g.n, 4)
     _warn_if_not_metric(g, "alg7")
     mstar = matching_override or max_weight_perfect_matching(g)
     if matching_override is not None and 2 * mstar.size != g.n:

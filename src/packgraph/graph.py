@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -59,14 +58,8 @@ class WeightedCompleteGraph:
         """Scaled integer weight of edge uv."""
         return int(self.w[u, v])
 
-    def rational_weight(self, u: int, v: int) -> Fraction:
-        return Fraction(int(self.w[u, v]), self.denom)
-
     def total_weight(self) -> int:
         return int(self.w.sum()) // 2
-
-    def vertices(self) -> range:
-        return range(self.n)
 
 
 @dataclass(frozen=True)
@@ -316,6 +309,12 @@ def path_weight(g: WeightedCompleteGraph, path: Sequence[int]) -> int:
 
 def cycle_weight(g: WeightedCompleteGraph, cyc: Sequence[int]) -> int:
     return path_weight(g, cyc) + g.weight(cyc[-1], cyc[0])
+
+
+def require_divisible(n: int, k: int) -> None:
+    """ValueError unless n vertices split into blocks of k."""
+    if k < 1 or n % k != 0:
+        raise ValueError(f"n={n} not divisible by k={k}")
 
 
 def validate_packing(g, packing, k: int, kind: str) -> Optional[str]:

@@ -9,11 +9,12 @@ ratios are reported as Fractions.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from . import cycle_packing as cp
 from . import path_packing as pp
 from . import reductions as red
 from .graph import (
+    WEIGHT_CLASSES,
+    HamiltonianCycle,
     KCyclePacking,
     KPathPacking,
     Matching,
@@ -29,11 +32,12 @@ from .graph import (
     matching_weight,
     packing_weight,
     path_weight,
+    require_divisible,
     tilde_weight,
     validate_packing,
 )
-from .matching import max_weight_matching_of_size, max_weight_perfect_matching
-from .tsp import exact_max_tsp, split_cycle_best_offset, split_objective_value
+from .matching import max_weight_perfect_matching
+from .tsp import exact_max_tsp, split_objective_value
 
 ORDER_CAP = 600_000
 
@@ -83,6 +87,10 @@ def _default_cap(k: int) -> int:
     return 15 if k in (3, 5) else 16
 
 
+class OracleCapError(ValueError):
+    """The instance is larger than the exact oracle solves."""
+
+
 def optimal_k_packing(
     g: WeightedCompleteGraph,
     k: int,
@@ -91,11 +99,10 @@ def optimal_k_packing(
 ):
     """Exact optimum via subset DP.  Returns (packing, weight)."""
     n = g.n
-    if n % k != 0:
-        raise ValueError(f"n={n} not divisible by k={k}")
+    require_divisible(n, k)
     cap = _default_cap(k) if max_n is None else max_n
     if n > cap:
-        raise ValueError(f"n={n} above oracle cap {cap} for k={k}")
+        raise OracleCapError(f"n={n} above oracle cap {cap} for k={k}")
     tourw: dict = {}
 
     def block(verts: tuple):
@@ -162,8 +169,7 @@ def brute_force_optimal_packing(
 ):
     """Pure partition enumeration; independent check of the DP for small n."""
     n = g.n
-    if n % k != 0:
-        raise ValueError(f"n={n} not divisible by k={k}")
+    require_divisible(n, k)
     if n > max_n:
         raise ValueError(f"n={n} above brute-force cap {max_n}")
 
@@ -211,26 +217,252 @@ class RatioReport:
     oracle_weight: int
     ratio: Fraction
     audits: list = field(default_factory=list)
+    packing: object = None
 
     @property
     def all_audits_hold(self) -> bool:
         return all(a.holds for a in self.audits)
 
 
-ALGORITHM_KINDS = {
-    "alg1": "cycle",
-    "alg2": "cycle",
-    "alg3": "cycle",
-    "alg6": "cycle",
-    "alg7": "cycle",
-    "reduce12": "cycle",
-    "3cp911": "cycle",
-    "alg4": "path",
-    "alg5": "path",
-    "kpp-combined": "path",
-    "general4pp": "path",
-    "alg8": "path",
-}
+def exact_oracle_solver(kind: str, k: int) -> red.PluggableSolver:
+    """The exact oracle wrapped as a pluggable solver (ratio 1)."""
+    return red.PluggableSolver(kind, k, lambda h: optimal_k_packing(h, k, kind)[0])
+
+
+@dataclass
+class Run:
+    """One instance with the options of a run, and the intermediates computed
+    for it: each is computed on first use, then shared by every algorithm and
+    audit of the run."""
+
+    g: WeightedCompleteGraph
+    k: int
+    tsp_solver: Callable
+    matching_override: Optional[Matching] = None
+    plan: Optional[cp.EdgeGroupPlan] = None
+    _tours: dict = field(default_factory=dict)
+    _optima: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        require_divisible(self.g.n, self.k)
+
+    def tour(self, solver=None) -> HamiltonianCycle:
+        """The tour of ``solver``, by default the run's TSP solver."""
+        solver = solver or self.tsp_solver
+        if solver not in self._tours:
+            self._tours[solver] = solver(self.g)
+        return self._tours[solver]
+
+    @cached_property
+    def mstar(self) -> Matching:
+        """The engine's maximum-weight perfect matching."""
+        return max_weight_perfect_matching(self.g)
+
+    @property
+    def matching(self) -> Matching:
+        """M* as the matching-based algorithms take it: the override if any."""
+        return self.matching_override or self.mstar
+
+    def optimum(self, kind: str) -> int:
+        """The exact oracle's optimum weight of a k-cycle/k-path packing."""
+        if kind not in self._optima:
+            self._optima[kind] = optimal_k_packing(self.g, self.k, kind)[1]
+        return self._optima[kind]
+
+
+ALGORITHMS: dict = {}  # name -> AlgorithmSpec, in the order of the runners below
+_NO_MAX = sys.maxsize
+F = Fraction
+METRIC = ("metric", "one_two")
+
+
+@dataclass(frozen=True)
+class AlgorithmSpec:
+    """One algorithm: what it packs, for which k, what the paper proves for
+    it, and how to run it."""
+
+    name: str
+    kind: str  # "cycle" | "path"
+    ks: range  # the admissible k
+    # weight class -> the proven ratio as a function of k, or None where the
+    # algorithm has no ratio of its own; the keys are the classes its proof,
+    # and so every audit of a run, covers
+    guarantee: dict
+    run: Callable  # Run -> (packing, the audits of its lemmas)
+
+    def admits(self, k) -> bool:
+        return int(k) == k and int(k) in self.ks
+
+    @property
+    def admissible_k(self) -> str:
+        ks = self.ks
+        if len(ks) == 1:
+            return f"k = {ks.start}"
+        parity = "" if ks.step == 1 else ("odd " if ks.start % 2 else "even ")
+        if ks.stop == _NO_MAX:
+            return f"{parity}k >= {ks.start}"
+        return f"{parity}{ks.start} <= k <= {ks[-1]}"
+
+
+def _algorithm(name: str, kind: str, ks: range, guarantee: dict):
+    """Register the decorated runner as the algorithm ``name``."""
+
+    def register(run):
+        ALGORITHMS[name] = AlgorithmSpec(name, kind, ks, guarantee, run)
+        return run
+
+    return register
+
+
+# ---------------------------------------------------------------------------
+# the algorithms; each runner builds its audits from the intermediates the
+# run produced
+
+
+def _offset_plain(g, k: int, H: HamiltonianCycle, P) -> AuditEntry:
+    hw = cycle_weight(g, H.order)
+    return AuditEntry("offset_plain", F(packing_weight(g, P)), F((k - 1) * hw, k))
+
+
+def _group_audits(g, label: str, plan, blocks, m: int, weight) -> list:
+    return [
+        AuditEntry(
+            f"{label}[{i}]",
+            F(weight(g, block)),
+            F((3 * m + 1) * sum(g.weight(*e) for e in edges), 2 * m),
+        )
+        for i, (edges, block) in enumerate(zip(plan.groups, blocks))
+    ]
+
+
+@_algorithm("alg1", "cycle", range(3, _NO_MAX),
+            dict.fromkeys(METRIC, lambda k: F(7 * k - 1, 8 * k) * F(k - 1, k)))
+def _run_alg1(r: Run):
+    H = r.tour()
+    packing, P = cp._alg1(r.g, r.k, H)
+    return packing, [_offset_plain(r.g, r.k, H, P)]
+
+
+@_algorithm("alg2", "cycle", range(4, _NO_MAX, 2),
+            dict.fromkeys(METRIC, lambda k: F(7, 8) * F((k - 1) ** 2 + 1, k * (k - 1))))
+def _run_alg2(r: Run):
+    g, k, H = r.g, r.k, r.tour()
+    packing, P = cp._alg2(g, k, H)
+    hw = cycle_weight(g, H.order)
+    obj = split_objective_value(g, P, "alg2")
+    audits = [AuditEntry("offset_alg2", F(obj), F(((k - 1) ** 2 + 1) * hw, k))]
+    for i, (path, cyc) in enumerate(zip(P.paths, packing.cycles)):
+        audits.append(
+            AuditEntry(
+                f"path_cycle[{i}]",
+                F(cycle_weight(g, cyc)),
+                F((k - 2) * path_weight(g, path) + 2 * tilde_weight(g, path), k - 1),
+            )
+        )
+    return packing, audits
+
+
+@_algorithm("alg3", "cycle", range(3, _NO_MAX, 2),
+            dict.fromkeys(METRIC, lambda k: F(3 * k - 1, 4 * k)))
+def _run_alg3(r: Run):
+    packing, plan = cp._splice_matching(r.g, r.k, "cycle", r.plan)
+    m = (r.k - 1) // 2
+    return packing, _group_audits(r.g, "group_cycle", plan, packing.cycles, m, cycle_weight)
+
+
+@_algorithm("alg6", "cycle", range(4, 5), dict.fromkeys(WEIGHT_CLASSES, lambda k: F(3, 4)))
+def _run_alg6(r: Run):
+    C4, P4, super_w = cp._alg6(r.g, r.matching)
+    mw = matching_weight(r.g, r.matching)
+    return C4, [
+        AuditEntry("contains_matching", F(packing_weight(r.g, C4)), F(mw)),
+        AuditEntry("p4_identity", F(packing_weight(r.g, P4)), F(mw + super_w), equality=True),
+    ]
+
+
+@_algorithm("alg7", "cycle", range(4, 5),
+            {"metric": lambda k: F(5, 6), "one_two": lambda k: F(7, 8)})
+def _run_alg7(r: Run):
+    packing = cp.alg7_metric_4cp(r.g, r.matching)
+    used = {frozenset(e) for c in packing.cycles for e in zip(c, c[1:] + c[:1])}
+    contains = all(frozenset(e) in used for e in r.matching.edges)
+    return packing, [AuditEntry("contains_matching_edges", F(int(contains)), F(1))]
+
+
+def _reduction_identity(g, k: int, packing) -> AuditEntry:
+    lifted = red.lift_12_to_01(g)
+    off = red.reduction_offset(g.n, k, "cycle")
+    lhs, rhs = packing_weight(g, packing), packing_weight(lifted, packing) + off
+    return AuditEntry("reduction_identity", F(lhs), F(rhs), equality=True)
+
+
+# the exact plug enumerates (k-1)!/2 vertex orders, within ORDER_CAP up to k=10
+@_algorithm("reduce12", "cycle", range(3, 11), {"one_two": lambda k: F(1)})
+def _run_reduce12(r: Run):
+    packing = red.solve_12_via_01(r.g, exact_oracle_solver("cycle", r.k))
+    return packing, [_reduction_identity(r.g, r.k, packing)]
+
+
+@_algorithm("3cp911", "cycle", range(3, 4), {"one_two": lambda k: F(9, 11)})
+def _run_3cp911(r: Run):
+    packing = red.three_cp_9_11(r.g, exact_oracle_solver("cycle", 3))
+    return packing, [_reduction_identity(r.g, r.k, packing)]
+
+
+@_algorithm("alg4", "path", range(3, _NO_MAX), dict.fromkeys(METRIC, lambda k: F(k - 1, k)))
+def _run_alg4(r: Run):
+    H = r.tour()
+    P = pp._alg4(r.g, r.k, H)
+    return P, [_offset_plain(r.g, r.k, H, P)]
+
+
+@_algorithm("alg5", "path", range(4, _NO_MAX, 2), dict.fromkeys(METRIC))
+def _run_alg5(r: Run):
+    packing, plan = cp._splice_matching(r.g, r.k, "path", r.plan)
+    m = (r.k - 2) // 2
+    return packing, _group_audits(r.g, "group_path", plan, packing.paths, m, path_weight)
+
+
+@_algorithm("kpp-combined", "path", range(4, _NO_MAX, 2), dict.fromkeys(
+    METRIC, lambda k: F(27 * k * k - 48 * k + 16, 32 * k * k - 36 * k - 24)))
+def _run_kpp_combined(r: Run):
+    H = r.tour()
+    packing, split, spliced, plan = pp._kpp_combined(r.g, r.k, H)
+    m = (r.k - 2) // 2
+    groups = _group_audits(r.g, "group_path", plan, spliced.paths, m, path_weight)
+    return packing, [_offset_plain(r.g, r.k, H, split)] + groups
+
+
+@_algorithm("general4pp", "path", range(4, 5), dict.fromkeys(WEIGHT_CLASSES, lambda k: F(3, 4)))
+def _run_general4pp(r: Run):
+    return pp.general_4pp(r.g, r.matching), []
+
+
+@_algorithm("alg8", "path", range(4, 5), dict.fromkeys(METRIC, lambda k: F(14, 17)))
+def _run_alg8(r: Run):
+    packing, spliced, mm = pp._alg8(r.g, r.mstar)
+    lhs, rhs = packing_weight(r.g, spliced), 2 * matching_weight(r.g, mm)
+    return packing, [AuditEntry("spliced_vs_matching", F(lhs), F(rhs))]
+
+
+def algorithm_spec(name: str, k: int) -> AlgorithmSpec:
+    """The registered algorithm ``name``; ValueError if the name is unknown
+    or k is not admissible for it."""
+    spec = ALGORITHMS.get(name)
+    if spec is None:
+        raise ValueError(f"unknown algorithm {name!r}")
+    if not spec.admits(k):
+        raise ValueError(f"{name} needs {spec.admissible_k}, got k={k}")
+    return spec
+
+
+def guarantee_bound(name: str, k: int, class_tag: str) -> Optional[Fraction]:
+    """The proven lower bound on the approximation ratio of ``name`` at k on
+    the weight class, assuming the exact TSP black box where one is involved;
+    None where the paper proves none."""
+    spec = ALGORITHMS.get(name)
+    bound = spec.guarantee.get(class_tag) if spec and spec.admits(k) else None
+    return bound(k) if bound else None
 
 
 def run_algorithm(
@@ -242,152 +474,23 @@ def run_algorithm(
     plan: Optional[cp.EdgeGroupPlan] = None,
 ):
     """Run one named algorithm; returns (packing, audit entries)."""
-    audits: list = []
-    F = Fraction
-    if name == "alg1":
-        H = tsp_solver(g)
-        P = split_cycle_best_offset(g, H, k, "plain")
-        hw = cycle_weight(g, H.order)
+    spec = algorithm_spec(name, k)
+    return spec.run(Run(g, k, tsp_solver, matching_override, plan))
+
+
+def _global_audits(r: Run) -> list:
+    """Upper bounds on the kCP optimum from the exact tour and from M*."""
+    g, k = r.g, r.k
+    audits = []
+    if g.class_tag in METRIC and g.n <= 16:
+        hw = cycle_weight(g, r.tour(exact_max_tsp).order)
         audits.append(
-            AuditEntry("offset_plain", F(_ppw(g, P)), F((k - 1) * hw, k))
+            AuditEntry("tsp_vs_opt_kcp", F(2 * k * hw), F((2 * k - 1) * r.optimum("cycle")))
         )
-        return cp.complete_paths(g, P), audits
-    if name == "alg2":
-        H = tsp_solver(g)
-        P = split_cycle_best_offset(g, H, k, "alg2")
-        hw = cycle_weight(g, H.order)
-        obj = split_objective_value(g, P, "alg2")
-        audits.append(
-            AuditEntry("offset_alg2", F(obj), F(((k - 1) ** 2 + 1) * hw, k))
-        )
-        cycles = []
-        for i, path in enumerate(P.paths):
-            cyc = cp.best_cycle_from_path(g, path)
-            audits.append(
-                AuditEntry(
-                    f"path_cycle[{i}]",
-                    F(cycle_weight(g, cyc)),
-                    F((k - 2) * path_weight(g, path) + 2 * tilde_weight(g, path), k - 1),
-                )
-            )
-            cycles.append(cyc)
-        return KCyclePacking(k=k, cycles=tuple(cycles)), audits
-    if name == "alg3":
-        packing = cp.alg3_matching_kcp_odd(g, k, plan=plan)
-        m = (k - 1) // 2
-        used = plan or cp.default_plan(
-            g, max_weight_matching_of_size(g, (g.n // k) * m), g.n // k, 1
-        )
-        for i, (edges, cyc) in enumerate(zip(used.groups, packing.cycles)):
-            gw = sum(g.weight(*e) for e in edges)
-            audits.append(
-                AuditEntry(
-                    f"group_cycle[{i}]", F(cycle_weight(g, cyc)), F((3 * m + 1) * gw, 2 * m)
-                )
-            )
-        return packing, audits
-    if name == "alg4":
-        H = tsp_solver(g)
-        P = split_cycle_best_offset(g, H, k, "plain")
-        hw = cycle_weight(g, H.order)
-        audits.append(
-            AuditEntry("offset_plain", F(_ppw(g, P)), F((k - 1) * hw, k))
-        )
-        return P, audits
-    if name == "alg5":
-        packing = pp.alg5_matching_kpp_even(g, k, plan=plan)
-        m = (k - 2) // 2
-        used = plan or cp.default_plan(
-            g, max_weight_matching_of_size(g, (g.n // k) * m), g.n // k, 2
-        )
-        for i, (edges, path) in enumerate(zip(used.groups, packing.paths)):
-            gw = sum(g.weight(*e) for e in edges)
-            audits.append(
-                AuditEntry(
-                    f"group_path[{i}]", F(path_weight(g, path)), F((3 * m + 1) * gw, 2 * m)
-                )
-            )
-        return packing, audits
-    if name == "kpp-combined":
-        a, a_aud = run_algorithm(g, "alg4", k, tsp_solver)
-        b, b_aud = run_algorithm(g, "alg5", k, tsp_solver)
-        audits.extend(a_aud)
-        audits.extend(b_aud)
-        pick = a if _ppw(g, a) >= _ppw(g, b) else b
-        return pick, audits
-    if name == "alg6":
-        C4, P4 = cp.alg6_general_4cp(g, matching_override)
-        mstar = matching_override or max_weight_perfect_matching(g)
-        mw = matching_weight(g, mstar)
-        audits.append(AuditEntry("contains_matching", F(packing_weight(g, C4)), F(mw)))
-        wmat, _ = cp._contract_best_connector(g, mstar)
-        from .matching import max_weight_perfect_matching_matrix
-
-        sm = max_weight_perfect_matching_matrix(wmat)
-        smw = sum(wmat[i][j] for i, j in sm)
-        audits.append(
-            AuditEntry("p4_identity", F(_ppw(g, P4)), F(mw + smw), equality=True)
-        )
-        return C4, audits
-    if name == "general4pp":
-        P4 = pp.general_4pp(g, matching_override)
-        return P4, audits
-    if name == "alg7":
-        packing = cp.alg7_metric_4cp(g, matching_override)
-        mstar = matching_override or max_weight_perfect_matching(g)
-        used = {frozenset(e) for c in packing.cycles for e in zip(c, c[1:] + c[:1])}
-        contains = all(frozenset(e) in used for e in mstar.edges)
-        audits.append(AuditEntry("contains_matching_edges", F(int(contains)), F(1)))
-        return packing, audits
-    if name == "alg8":
-        packing = pp.alg8_metric_4pp(g)
-        mm = max_weight_matching_of_size(g, g.n // 4)
-        # rebuild the spliced packing to audit its per-edge doubling bound
-        iso = sorted(set(range(g.n)) - mm.covered())
-        w2 = 0
-        for i, (x, y) in enumerate(mm.edges):
-            u, z = iso[2 * i], iso[2 * i + 1]
-            if g.weight(u, x) + g.weight(y, z) < g.weight(z, x) + g.weight(y, u):
-                u, z = z, u
-            w2 += g.weight(u, x) + g.weight(x, y) + g.weight(y, z)
-        audits.append(
-            AuditEntry("spliced_vs_matching", F(w2), F(2 * matching_weight(g, mm)))
-        )
-        return packing, audits
-    if name in ("reduce12", "3cp911"):
-        lifted = red.lift_12_to_01(g)
-        kind = "cycle"
-        plug = exact_oracle_solver(kind, k)
-        packing = (
-            red.three_cp_9_11(g, plug)
-            if name == "3cp911"
-            else red.solve_12_via_01(g, plug)
-        )
-        off = red.reduction_offset(g.n, k, kind)
-        audits.append(
-            AuditEntry(
-                "reduction_identity",
-                F(packing_weight(g, packing)),
-                F(packing_weight(lifted, packing) + off),
-                equality=True,
-            )
-        )
-        return packing, audits
-    raise ValueError(f"unknown algorithm {name!r}")
-
-
-def exact_oracle_solver(kind: str, k: int) -> red.PluggableSolver:
-    """The exact oracle wrapped as a pluggable solver (ratio 1)."""
-
-    def solve(h: WeightedCompleteGraph):
-        packing, _ = optimal_k_packing(h, k, kind)
-        return packing
-
-    return red.PluggableSolver(kind=kind, k=k, solve=solve, claimed_ratio=Fraction(1))
-
-
-def _ppw(g, packing) -> int:
-    return packing_weight(g, packing)
+    if k % 2 == 0 and g.n % 2 == 0:
+        mw = matching_weight(g, r.mstar)
+        audits.append(AuditEntry("matching_vs_opt_kcp", F(2 * mw), F(r.optimum("cycle"))))
+    return audits
 
 
 def audit_instance(
@@ -400,54 +503,33 @@ def audit_instance(
     matching_override: Optional[Matching] = None,
     plan: Optional[cp.EdgeGroupPlan] = None,
 ) -> list:
-    """Run each algorithm, compare against the exact oracle, audit lemmas."""
-    opt_cache: dict = {}
+    """Run each algorithm, compare against the exact oracle, audit lemmas.
 
-    def oracle(kind: str) -> int:
-        if kind not in opt_cache:
-            _, w = optimal_k_packing(g, k, kind)
-            opt_cache[kind] = w
-        return opt_cache[kind]
-
-    global_audits: list = []
-    if include_global_audits:
-        metric = g.class_tag in ("metric", "one_two")
-        if metric and g.n <= 16:
-            hw = cycle_weight(g, exact_max_tsp(g).order)
-            global_audits.append(
-                AuditEntry(
-                    "tsp_vs_opt_kcp",
-                    Fraction(2 * k * hw),
-                    Fraction((2 * k - 1) * oracle("cycle")),
-                )
-            )
-        if k % 2 == 0 and g.n % 2 == 0:
-            mw = matching_weight(g, max_weight_perfect_matching(g))
-            global_audits.append(
-                AuditEntry(
-                    "matching_vs_opt_kcp", Fraction(2 * mw), Fraction(oracle("cycle"))
-                )
-            )
+    The tour, M* and the optima are computed once for the instance and shared
+    by all algorithms and audits.  Each optimum is computed before the
+    algorithm runs, so an instance above the oracle's cap raises
+    OracleCapError before any algorithm has run.
+    """
+    specs = [algorithm_spec(name, k) for name in algorithms]
+    r = Run(g, k, tsp_solver, matching_override, plan)
+    global_audits = _global_audits(r) if include_global_audits else []
     reports = []
-    for name in algorithms:
-        kind = ALGORITHM_KINDS[name]
-        packing, audits = run_algorithm(
-            g, name, k, tsp_solver, matching_override=matching_override, plan=plan
-        )
-        err = validate_packing(g, packing, k, kind)
+    for spec in specs:
+        opt = r.optimum(spec.kind)
+        packing, audits = spec.run(r)
+        err = validate_packing(g, packing, k, spec.kind)
         if err:
-            raise AssertionError(f"{name} produced an invalid packing: {err}")
+            raise AssertionError(f"{spec.name} produced an invalid packing: {err}")
         w = packing_weight(g, packing)
-        opt = oracle(kind)
-        ratio = Fraction(w, opt) if opt else Fraction(1)
         reports.append(
             RatioReport(
                 instance_id=instance_id,
-                algorithm=name,
+                algorithm=spec.name,
                 algorithm_weight=w,
                 oracle_weight=opt,
-                ratio=ratio,
-                audits=list(audits) + list(global_audits),
+                ratio=Fraction(w, opt) if opt else Fraction(1),
+                audits=audits + global_audits,
+                packing=packing,
             )
         )
     return reports

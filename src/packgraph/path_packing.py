@@ -11,20 +11,19 @@ from typing import Optional
 from .cycle_packing import (
     EdgeGroupPlan,
     TspSolver,
-    _best_orientation,
-    _order_group_edges,
+    _splice_matching,
     _warn_if_not_metric,
     alg6_general_4cp,
-    default_plan,
 )
 from .graph import (
+    HamiltonianCycle,
     KPathPacking,
     Matching,
     WeightedCompleteGraph,
-    matching_weight,
     packing_weight,
+    require_divisible,
 )
-from .matching import max_weight_matching_of_size
+from .matching import max_weight_matching_of_size, max_weight_perfect_matching
 from .tsp import exact_max_tsp, split_cycle_best_offset
 
 
@@ -32,9 +31,11 @@ def alg4_tsp_kpp(
     g: WeightedCompleteGraph, k: int, tsp_solver: TspSolver = exact_max_tsp
 ) -> KPathPacking:
     """Tour -> plain best-offset split; weight >= (1 - 1/k) of the tour."""
-    if g.n % k != 0:
-        raise ValueError(f"n={g.n} not divisible by k={k}")
-    H = tsp_solver(g)
+    require_divisible(g.n, k)
+    return _alg4(g, k, tsp_solver(g))
+
+
+def _alg4(g: WeightedCompleteGraph, k: int, H: HamiltonianCycle) -> KPathPacking:
     return split_cycle_best_offset(g, H, k, objective="plain")
 
 
@@ -49,29 +50,8 @@ def alg5_matching_kpp_even(
     """
     if k % 2 != 0 or k < 4:
         raise ValueError("alg5 needs even k >= 4")
-    if g.n % k != 0:
-        raise ValueError(f"n={g.n} not divisible by k={k}")
-    _warn_if_not_metric(g, "alg5")
-    groups = g.n // k
-    m = (k - 2) // 2
-    p = groups * m
-    opt_matching = max_weight_matching_of_size(g, p)
-    if plan is None:
-        plan = default_plan(g, opt_matching, groups, iso_per_group=2)
-    else:
-        got = plan.matching()
-        if got.size != p or matching_weight(g, got) != matching_weight(g, opt_matching):
-            raise ValueError("plan inconsistent with the maximum-weight matching")
-    paths = []
-    for edges, (u, v) in zip(plan.groups, plan.isolated):
-        ordered = _order_group_edges(g, edges)
-        oriented = _best_orientation(g, (u, v), ordered)
-        path = [u]
-        for t, h in oriented:
-            path.extend((t, h))
-        path.append(v)
-        paths.append(tuple(path))
-    return KPathPacking(k=k, paths=tuple(paths))
+    require_divisible(g.n, k)
+    return _splice_matching(g, k, "path", plan)[0]
 
 
 def metric_kpp_combined(
@@ -79,11 +59,18 @@ def metric_kpp_combined(
 ) -> KPathPacking:
     """Heavier of the TSP-split and matching-based packings (ties to the
     TSP route).  Guarantee (27k^2-48k+16)/(32k^2-36k-24) on metric inputs."""
-    if k % 2 != 0:
-        raise ValueError("combined kPP needs even k")
-    a = alg4_tsp_kpp(g, k, tsp_solver)
-    b = alg5_matching_kpp_even(g, k)
-    return a if packing_weight(g, a) >= packing_weight(g, b) else b
+    if k % 2 != 0 or k < 4:
+        raise ValueError("combined kPP needs even k >= 4")
+    require_divisible(g.n, k)
+    return _kpp_combined(g, k, tsp_solver(g))[0]
+
+
+def _kpp_combined(g: WeightedCompleteGraph, k: int, H: HamiltonianCycle):
+    """Combined kPP on the tour H; returns (packing, the split packing, the
+    matching-based packing, its plan)."""
+    a = _alg4(g, k, H)
+    b, plan = _splice_matching(g, k, "path", None)
+    return (a if packing_weight(g, a) >= packing_weight(g, b) else b), a, b, plan
 
 
 def general_4pp(
@@ -101,10 +88,15 @@ def alg8_metric_4pp(g: WeightedCompleteGraph) -> KPathPacking:
     Endpoints are swapped so that w(u,x) + w(y,z) >= w(z,x) + w(y,u), which
     on metric inputs makes each path weigh at least twice its matching edge.
     """
-    if g.n % 4 != 0:
-        raise ValueError(f"n={g.n} not divisible by 4")
-    _warn_if_not_metric(g, "alg8")
-    P4 = general_4pp(g)
+    require_divisible(g.n, 4)
+    return _alg8(g, max_weight_perfect_matching(g))[0]
+
+
+def _alg8(g: WeightedCompleteGraph, mstar: Matching):
+    """Alg.8 with M* for the contraction; returns (packing, the spliced
+    packing, the size-n/4 matching it splices)."""
+    _warn_if_not_metric(g, "alg8", stacklevel=4)
+    P4 = general_4pp(g, mstar)
     mm = max_weight_matching_of_size(g, g.n // 4)
     iso = sorted(set(range(g.n)) - mm.covered())
     paths = []
@@ -114,5 +106,6 @@ def alg8_metric_4pp(g: WeightedCompleteGraph) -> KPathPacking:
             paths.append((u, x, y, z))
         else:
             paths.append((z, x, y, u))
-    P4p = KPathPacking(k=4, paths=tuple(paths))
-    return P4 if packing_weight(g, P4) >= packing_weight(g, P4p) else P4p
+    spliced = KPathPacking(k=4, paths=tuple(paths))
+    pick = P4 if packing_weight(g, P4) >= packing_weight(g, spliced) else spliced
+    return pick, spliced, mm

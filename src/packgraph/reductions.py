@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -13,18 +12,18 @@ from .graph import (
     KPathPacking,
     WeightedCompleteGraph,
     packing_weight,
+    require_divisible,
     validate_packing,
 )
 
 
 @dataclass(frozen=True)
 class PluggableSolver:
-    """A packing solver with a claimed approximation ratio on {0,1} graphs."""
+    """A k-cycle or k-path packing solver for {0,1} graphs."""
 
     kind: str  # "cycle" | "path"
     k: int
     solve: Callable[[WeightedCompleteGraph], object]
-    claimed_ratio: Fraction = Fraction(1)
 
 
 def _require_one_two(g: WeightedCompleteGraph) -> None:
@@ -71,8 +70,7 @@ def three_cp_9_11(
     The 9/11 guarantee needs a plug meeting the known {0,1} 3CP lower
     bound; an exact plug dominates it.
     """
-    if g.n % 3 != 0:
-        raise ValueError(f"n={g.n} not divisible by 3")
+    require_divisible(g.n, 3)
     if zero_one_solver.kind != "cycle" or zero_one_solver.k != 3:
         raise ValueError("plug must solve 3CP")
     return solve_12_via_01(g, zero_one_solver)

@@ -17,6 +17,7 @@ from .graph import (
     KPathPacking,
     WeightedCompleteGraph,
     path_weight,
+    require_divisible,
     tilde_weight,
 )
 
@@ -133,8 +134,7 @@ def split_cycle_best_offset(
     odd-position pairing, which averages to ((k-1)^2+1)/k * w(H) for even k.
     """
     n = g.n
-    if n % k != 0:
-        raise ValueError(f"n={n} not divisible by k={k}")
+    require_divisible(n, k)
     if objective not in ("plain", "alg2"):
         raise ValueError(f"unknown objective {objective!r}")
     if objective == "alg2" and k % 2 != 0:

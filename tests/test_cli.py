@@ -153,3 +153,22 @@ def test_guarantee_bound_table():
     assert guarantee_bound("3cp911", 3, "one_two") == Fraction(9, 11)
     assert guarantee_bound("alg1", 4, "general") is None
     assert guarantee_bound("alg5", 6, "metric") is None
+
+
+def test_inadmissible_k_is_refused(capsys, tmp_path):
+    inst = tmp_path / "g12.pg"
+    run_cli(capsys, "gen", "--n", "12", "--class", "metric", "--seed", "0",
+            "--out", str(inst))
+    for extra in ([], ["--oracle"]):
+        code, out, err = run_cli(capsys, "solve", "--in", str(inst), "--algo",
+                                 "alg7", "--k", "6", *extra)
+        assert (code, out) == (2, "")
+        assert "alg7 needs k = 4" in err
+    code, out, err = run_cli(capsys, "solve", "--in", str(inst), "--algo",
+                             "alg1", "--k", "0")
+    assert (code, out) == (2, "")
+    assert "alg1 needs k >= 3" in err
+    code, out, err = run_cli(capsys, "bench", "--k", "6", "--n", "12",
+                             "--count", "1", "--algos", "alg8")
+    assert (code, out) == (2, "")
+    assert "alg8 needs k = 4" in err

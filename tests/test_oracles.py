@@ -6,7 +6,7 @@ from conftest import graph_from_matrix
 from packgraph.fixtures import get_fixture
 from packgraph.graph import generate_instance, packing_weight, validate_packing
 from packgraph.oracles import (
-    ALGORITHM_KINDS,
+    ALGORITHMS,
     audit_instance,
     best_k_tour_on_set,
     brute_force_optimal_packing,
@@ -109,6 +109,6 @@ def test_run_algorithm_unknown_name():
 
 
 def test_algorithm_kind_table_complete():
-    assert set(ALGORITHM_KINDS.values()) == {"cycle", "path"}
+    assert {spec.kind for spec in ALGORITHMS.values()} == {"cycle", "path"}
     for name in ("alg1", "alg3", "alg5", "general4pp", "3cp911"):
-        assert name in ALGORITHM_KINDS
+        assert name in ALGORITHMS

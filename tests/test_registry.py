@@ -1,0 +1,107 @@
+"""The algorithm registry: each spec runs its library algorithm unchanged,
+refuses inadmissible k, and its audits hold wherever its proof applies."""
+
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from packgraph import cycle_packing as cp
+from packgraph import path_packing as pp
+from packgraph import reductions as red
+from packgraph.fixtures import get_fixture
+from packgraph.graph import (
+    KCyclePacking,
+    KPathPacking,
+    generate_instance,
+    validate_packing,
+)
+from packgraph.oracles import ALGORITHMS, exact_oracle_solver, run_algorithm
+
+# name -> (public library call, an admissible (n, k, weight class))
+PUBLIC = {
+    "alg1": (lambda g, k: cp.alg1_metric_kcp(g, k), (12, 3, "metric")),
+    "alg2": (lambda g, k: cp.alg2_metric_kcp_even(g, k), (12, 6, "one_two")),
+    "alg3": (lambda g, k: cp.alg3_matching_kcp_odd(g, k), (10, 5, "metric")),
+    "alg4": (lambda g, k: pp.alg4_tsp_kpp(g, k), (12, 4, "metric")),
+    "alg5": (lambda g, k: pp.alg5_matching_kpp_even(g, k), (12, 6, "metric")),
+    "kpp-combined": (lambda g, k: pp.metric_kpp_combined(g, k), (12, 4, "one_two")),
+    "alg6": (lambda g, k: cp.alg6_general_4cp(g)[0], (12, 4, "general")),
+    "general4pp": (lambda g, k: pp.general_4pp(g), (12, 4, "zero_one")),
+    "alg7": (lambda g, k: cp.alg7_metric_4cp(g), (12, 4, "metric")),
+    "alg8": (lambda g, k: pp.alg8_metric_4pp(g), (12, 4, "metric")),
+    "reduce12": (
+        lambda g, k: red.solve_12_via_01(g, exact_oracle_solver("cycle", k)),
+        (12, 4, "one_two"),
+    ),
+    "3cp911": (
+        lambda g, k: red.three_cp_9_11(g, exact_oracle_solver("cycle", 3)),
+        (12, 3, "one_two"),
+    ),
+}
+
+
+def test_every_registered_algorithm_has_a_public_call():
+    assert set(PUBLIC) == set(ALGORITHMS)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_registry_runs_the_library_algorithm(name):
+    call, (n, k, klass) = PUBLIC[name]
+    assert ALGORITHMS[name].admits(k) and klass in ALGORITHMS[name].guarantee
+    for seed in range(3):
+        g = generate_instance(n, klass, seed=seed)
+        packing, _ = run_algorithm(g, name, k)
+        assert packing == call(g, k)
+
+
+def test_registry_runs_the_library_algorithm_with_overrides():
+    fx = get_fixture("fig2")
+    packing, _ = run_algorithm(fx.graph, "alg3", 5, plan=fx.plan_override)
+    assert packing == cp.alg3_matching_kcp_odd(fx.graph, 5, plan=fx.plan_override)
+    for fid, name, call in (
+        ("fig3", "alg6", lambda g, m: cp.alg6_general_4cp(g, m)[0]),
+        ("fig4", "general4pp", pp.general_4pp),
+        ("fig5", "alg7", cp.alg7_metric_4cp),
+    ):
+        fx = get_fixture(fid)
+        m = fx.matching_override
+        packing, _ = run_algorithm(fx.graph, name, 4, matching_override=m)
+        assert packing == call(fx.graph, m)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_run_algorithm_returns_a_valid_packing_or_refuses_k(data):
+    name = data.draw(st.sampled_from(sorted(ALGORITHMS)))
+    spec = ALGORITHMS[name]
+    admissible = [k for k in range(13) if spec.admits(k)]
+    k = data.draw(st.one_of(st.sampled_from(admissible), st.integers(-1, 12)))
+    klass = data.draw(st.sampled_from(sorted(c for c in spec.guarantee if c != "unknown")))
+    seed = data.draw(st.integers(0, 10_000))
+    if not spec.admits(k):
+        g = generate_instance(data.draw(st.integers(3, 12)), klass, seed=seed)
+        with pytest.raises(ValueError, match=f"{name} needs"):
+            run_algorithm(g, name, k)
+        return
+    n = k * data.draw(st.integers(1, 12 // k))
+    g = generate_instance(n, klass, seed=seed)
+    packing, audits = run_algorithm(g, name, k)
+    assert isinstance(packing, KCyclePacking if spec.kind == "cycle" else KPathPacking)
+    assert packing.k == k
+    assert validate_packing(g, packing, k, spec.kind) is None
+    failing = [a for a in audits if not a.holds]
+    assert not failing, failing
+
+
+def test_readme_table_lists_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Algorithms", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        m = re.match(r"\| `([^`]+)` \|[^|]*\|[^|]*\| ([^|]+) \|", line)
+        if m:
+            rows[m.group(1)] = m.group(2).strip()
+    assert rows == {name: spec.admissible_k for name, spec in ALGORITHMS.items()}
