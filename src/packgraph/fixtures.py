@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cycle_packing import EdgeGroupPlan, alg3_matching_kcp_odd, alg6_general_4cp, alg7_metric_4cp
+from .cycle_packing import EdgeGroupPlan
 from .graph import (
     KCyclePacking,
     Matching,
@@ -26,8 +26,7 @@ from .graph import (
     validate_packing,
 )
 from .matching import max_weight_matching_of_size, max_weight_perfect_matching
-from .oracles import best_k_tour_on_set, optimal_k_packing
-from .path_packing import general_4pp
+from .oracles import best_k_tour_on_set, optimal_k_packing, run_algorithm
 
 
 @dataclass(frozen=True)
@@ -35,6 +34,7 @@ class Fixture:
     id: str
     k: int
     kind: str
+    algorithm: str  # the registered algorithm whose tight example this is
     graph: WeightedCompleteGraph
     matching_override: Optional[Matching] = None
     plan_override: Optional[EdgeGroupPlan] = None
@@ -75,6 +75,7 @@ def _fig2() -> Fixture:
         id="fig2_5cp",
         k=5,
         kind="cycle",
+        algorithm="alg3",
         graph=g,
         matching_override=matching,
         plan_override=plan,
@@ -103,6 +104,7 @@ def _fig3() -> Fixture:
         id="fig3_general4cp",
         k=4,
         kind="cycle",
+        algorithm="alg6",
         graph=g,
         matching_override=matching,
         expected={
@@ -123,6 +125,7 @@ def _fig4() -> Fixture:
         id="fig4_general4pp",
         k=4,
         kind="path",
+        algorithm="general4pp",
         graph=g,
         matching_override=matching,
         expected={
@@ -150,6 +153,7 @@ def _fig5() -> Fixture:
         id="fig5_metric4cp",
         k=4,
         kind="cycle",
+        algorithm="alg7",
         graph=g,
         matching_override=matching,
         expected={
@@ -169,6 +173,7 @@ def _fig3_lifted() -> Fixture:
         id="fig3_lifted_12",
         k=4,
         kind="cycle",
+        algorithm="alg7",
         graph=g,
         matching_override=matching,
         expected={
@@ -206,19 +211,26 @@ def get_fixture(fixture_id: str) -> Fixture:
         raise ValueError(f"unknown fixture {fixture_id!r}") from None
 
 
-def run_fixture_checks(fixture_id: str) -> list:
-    """Re-derive every expected value; returns (name, expected, actual) rows."""
+def run_fixture_checks(fixture_id: str, packing=None) -> list:
+    """Re-derive every expected value; returns (name, expected, actual) rows.
+
+    ``packing`` is the packing of the fixture's algorithm under its overrides
+    when the caller has already run it; otherwise it is run here.
+    """
     fx = get_fixture(fixture_id)
     g = fx.graph
     exp = fx.expected
     rows = []
+    if packing is None:
+        packing, _ = run_algorithm(
+            g, fx.algorithm, fx.k, matching_override=fx.matching_override, plan=fx.plan_override
+        )
 
     def check(name, actual):
         rows.append((name, exp[name], actual))
 
     if fx.id == "fig2_5cp":
         check("matching_weight", matching_weight(g, max_weight_matching_of_size(g, 10)))
-        packing = alg3_matching_kcp_odd(g, 5, plan=fx.plan_override)
         check("alg_weight", packing_weight(g, packing))
         # full n=25 DP is out of cap; verify the row decomposition instead
         rows_ok = True
@@ -235,28 +247,14 @@ def run_fixture_checks(fixture_id: str) -> list:
         assert validate_packing(g, row_packing, 5, "cycle") is None
         check("opt_weight", packing_weight(g, row_packing))
         check("ratio", Fraction(packing_weight(g, packing), exp["opt_weight"]))
-    elif fx.id in ("fig3_general4cp", "fig3_lifted_12", "fig5_metric4cp"):
+    elif fx.id in ("fig3_general4cp", "fig3_lifted_12", "fig4_general4pp", "fig5_metric4cp"):
         if fx.id == "fig5_metric4cp":
             assert is_metric(g)[0]
         check(
             "matching_weight", matching_weight(g, max_weight_perfect_matching(g))
         )
-        _, opt = optimal_k_packing(g, 4, "cycle")
+        _, opt = optimal_k_packing(g, fx.k, fx.kind)
         check("opt_weight", opt)
-        if fx.id == "fig3_general4cp":
-            packing, _ = alg6_general_4cp(g, fx.matching_override)
-        else:
-            packing = alg7_metric_4cp(g, fx.matching_override)
-        w = packing_weight(g, packing)
-        check("alg_weight", w)
-        check("ratio", Fraction(w, opt))
-    elif fx.id == "fig4_general4pp":
-        check(
-            "matching_weight", matching_weight(g, max_weight_perfect_matching(g))
-        )
-        _, opt = optimal_k_packing(g, 4, "path")
-        check("opt_weight", opt)
-        packing = general_4pp(g, fx.matching_override)
         w = packing_weight(g, packing)
         check("alg_weight", w)
         check("ratio", Fraction(w, opt))

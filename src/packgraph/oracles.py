@@ -1,10 +1,13 @@
 """Exact oracles for optimal k-cycle/k-path packings and ratio audits.
 
-The optimum is computed by dynamic programming over vertex subsets, anchoring
-each block at the minimum uncovered vertex to avoid symmetric recounting.
-Per-block optima are exhaustive over the distinct vertex orders, evaluated
-with vectorized index arithmetic.  Everything is exact integer arithmetic;
-ratios are reported as Fractions.
+The optimum is computed in two vectorized stages over vertex subsets.  A
+Held-Karp table, filled one popcount layer at a time, gives the best k-cycle
+or k-path weight of every k-subset at once.  A partition DP then combines
+these blocks, one popcount layer at a time, each block taking the lowest
+vertex not yet covered so that no partition is counted twice.  The vertex
+order of each chosen block is recovered by enumerating that block's distinct
+orders.  Everything is exact integer arithmetic; ratios are reported as
+Fractions.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
+from math import comb, factorial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,7 +41,7 @@ from .graph import (
     validate_packing,
 )
 from .matching import max_weight_perfect_matching
-from .tsp import exact_max_tsp, split_objective_value
+from .tsp import _masks_by_popcount, exact_max_tsp, split_objective_value
 
 ORDER_CAP = 600_000
 
@@ -49,19 +53,23 @@ def _orders(k: int, kind: str) -> np.ndarray:
     Cycles fix the first position and drop reversals; paths drop reversals.
     """
     if kind == "cycle":
-        perms = [
-            (0,) + p
-            for p in permutations(range(1, k))
-            if k == 3 or p[0] < p[-1]
-        ]
-        if k == 3:
-            perms = [(0, 1, 2)]
+        if k < 3:
+            raise ValueError(f"a k-cycle needs k >= 3, got k={k}")
+        count = 1 if k == 3 else factorial(k - 1) // 2
     elif kind == "path":
-        perms = [p for p in permutations(range(k)) if p[0] < p[-1]]
+        if k < 2:
+            raise ValueError(f"a k-path needs k >= 2, got k={k}")
+        count = factorial(k) // 2
     else:
         raise ValueError(f"kind must be cycle or path, got {kind!r}")
-    if len(perms) > ORDER_CAP:
-        raise ValueError(f"{len(perms)} orders exceed the enumeration cap")
+    if count > ORDER_CAP:
+        raise ValueError(f"{count} orders exceed the enumeration cap")
+    if kind == "cycle":
+        if k == 3:
+            return np.array([(0, 1, 2)], dtype=np.int64)
+        perms = [(0,) + p for p in permutations(range(1, k)) if p[0] < p[-1]]
+    else:
+        perms = [p for p in permutations(range(k)) if p[0] < p[-1]]
     return np.array(perms, dtype=np.int64)
 
 
@@ -70,7 +78,7 @@ def best_k_tour_on_set(
 ):
     """Exhaustive maximum-weight k-cycle or k-path on the vertex set S.
 
-    Returns (order tuple, weight).
+    Returns (order tuple, weight); the first order of maximum weight wins.
     """
     S = np.asarray(sorted(S), dtype=np.int64)
     k = len(S)
@@ -91,6 +99,78 @@ class OracleCapError(ValueError):
     """The instance is larger than the exact oracle solves."""
 
 
+# Every sum of the oracle is a sum of at most n weights, so it is exact in
+# int64 while n * max weight fits.  _UNSET marks a Held-Karp state with no
+# path: with k <= n weights added it stays negative, below every real sum.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_UNSET = np.iinfo(np.int64).min
+_CHUNK = 1 << 16  # entries per temporary array of the partition DP
+
+
+@lru_cache(maxsize=8)
+def _popcount_rank(n: int) -> np.ndarray:
+    """rank[mask]: the position of mask among the n-bit masks of its popcount."""
+    rank = np.empty(1 << n, dtype=np.int64)
+    for masks in _masks_by_popcount(n):
+        rank[masks] = np.arange(masks.size)
+    return rank
+
+
+@lru_cache(maxsize=64)
+def _block_columns(p: int, k: int) -> np.ndarray:
+    """The (k-1)-subsets of the positions 1..p-1, in combinations order."""
+    cols = list(combinations(range(1, p), k - 1))
+    return np.array(cols, dtype=np.int64).reshape(-1, k - 1)
+
+
+def _block_weights(g: WeightedCompleteGraph, k: int, kind: str) -> np.ndarray:
+    """bw[mask]: the best k-cycle or k-path weight on each k-subset mask.
+
+    Held-Karp over the popcount layers 2..k: dp[rank[S], j] is the heaviest
+    path through S ending at j; cycle paths start at min(S) and close back to
+    it.  Only the previous layer is kept, one row per mask of that layer.
+    """
+    n = g.n
+    w = g.w.astype(np.int64)
+    layers = _masks_by_popcount(n)
+    rank = _popcount_rank(n)
+    dp = np.full((n, n), _UNSET, dtype=np.int64)
+    np.fill_diagonal(dp, 0)  # layer 1 lists 1 << v at row v
+    for c in range(2, k + 1):
+        masks = layers[c]
+        nxt = np.full((masks.size, n), _UNSET, dtype=np.int64)
+        for j in range(n):
+            bit = 1 << j
+            has = (masks & bit) != 0
+            if kind == "cycle":
+                has &= (masks & (bit - 1)) != 0  # j is not the start min(S)
+            rows = np.flatnonzero(has)
+            nxt[rows, j] = (dp[rank[masks[rows] ^ bit]] + w[:, j]).max(axis=1)
+        dp = nxt
+    masks = layers[k]
+    if kind == "cycle":
+        dp += w[rank[masks & -masks]]  # close at the lowest vertex: rank[1 << v] = v
+    bw = np.zeros(1 << n, dtype=np.int64)
+    bw[masks] = dp.max(axis=1)
+    return bw
+
+
+def _best_blocks(masks: np.ndarray, p: int, k: int, n: int, f, bw):
+    """For each mask of popcount p: the best f[mask ^ B] + bw[B] over the
+    blocks B made of the mask's lowest vertex and k-1 of its other vertices,
+    the first maximum in combinations order.  Returns (values, blocks)."""
+    bits = masks[:, None] & (1 << np.arange(n, dtype=np.int64))
+    bits = bits[bits != 0].reshape(masks.size, p)  # each mask's vertices as bits, ascending
+    cols = _block_columns(p, k)
+    blocks = bits[:, :1]
+    for t in range(k - 1):
+        blocks = blocks | bits[:, cols[:, t]]
+    vals = f[masks[:, None] ^ blocks] + bw[blocks]
+    best = vals.argmax(axis=1)
+    at = np.arange(masks.size)
+    return vals[at, best], blocks[at, best]
+
+
 def optimal_k_packing(
     g: WeightedCompleteGraph,
     k: int,
@@ -103,65 +183,31 @@ def optimal_k_packing(
     cap = _default_cap(k) if max_n is None else max_n
     if n > cap:
         raise OracleCapError(f"n={n} above oracle cap {cap} for k={k}")
-    tourw: dict = {}
-
-    def block(verts: tuple):
-        got = tourw.get(verts)
-        if got is None:
-            got = best_k_tour_on_set(g, verts, kind)
-            tourw[verts] = got
-        return got
-
-    f = {0: 0}
-    choice: dict = {}
-    for mask in range(1, 1 << n):
-        bits = _bits(mask)
-        if len(bits) % k != 0:
-            continue
-        anchor = bits[0]
-        best = None
-        best_t = None
-        for rest in combinations(bits[1:], k - 1):
-            verts = (anchor,) + rest
-            tmask = 0
-            for v in verts:
-                tmask |= 1 << v
-            sub = f.get(mask ^ tmask)
-            if sub is None:
-                continue
-            _, bw = block(verts)
-            val = sub + bw
-            if best is None or val > best:
-                best = val
-                best_t = verts
-        if best is not None:
-            f[mask] = best
-            choice[mask] = best_t
-    full = (1 << n) - 1
+    _orders(k, kind)  # refuses a kind, or a k too small or too large, up front
+    max_w = int(g.w.max())
+    if n * max_w > _INT64_MAX:
+        raise ValueError(f"weights up to {max_w} overflow the oracle's int64 sums at n={n}")
+    bw = _block_weights(g, k, kind)
+    layers = _masks_by_popcount(n)
+    f = np.zeros(1 << n, dtype=np.int64)  # f[mask]: best packing of mask, popcount p = 0 mod k
+    for p in range(k, n + 1, k):
+        masks = layers[p]
+        step = max(1, _CHUNK // max(comb(p - 1, k - 1), n))
+        for s in range(0, masks.size, step):
+            chunk = masks[s : s + step]
+            f[chunk] = _best_blocks(chunk, p, k, n, f, bw)[0]
     blocks = []
-    mask = full
-    while mask:
-        verts = choice[mask]
-        order, _ = block(verts)
-        blocks.append(order)
-        for v in verts:
-            mask ^= 1 << v
+    mask = (1 << n) - 1
+    for p in range(n, 0, -k):
+        _, (block,) = _best_blocks(np.array([mask], dtype=np.int64), p, k, n, f, bw)
+        verts = [v for v in range(n) if block >> v & 1]
+        blocks.append(best_k_tour_on_set(g, verts, kind)[0])
+        mask ^= int(block)
     if kind == "cycle":
         packing = KCyclePacking(k=k, cycles=tuple(blocks))
     else:
         packing = KPathPacking(k=k, paths=tuple(blocks))
-    return packing, f[full]
-
-
-def _bits(mask: int) -> list:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
+    return packing, int(f[-1])
 
 
 def brute_force_optimal_packing(

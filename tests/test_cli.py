@@ -58,6 +58,47 @@ def test_solve_fig2_with_plan(capsys):
     assert doc["oracle_weight"] == 50
 
 
+FIG2_PLAN = ("solve", "--in", "fig2", "--algo", "alg3", "--override-plan", "paper", "--oracle")
+FIG2_PAPER = FIG2_PLAN + ("--override-matching", "paper")
+
+
+def test_solve_fixture_oracle_runs_the_algorithm_once(capsys, monkeypatch):
+    from packgraph import cycle_packing
+
+    calls = []
+    splice = cycle_packing._splice_matching
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return splice(*args, **kwargs)
+
+    monkeypatch.setattr(cycle_packing, "_splice_matching", counted)
+    for argv in (FIG2_PAPER, FIG2_PLAN):
+        calls.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["weight"] == 35
+        assert calls == ["cycle"]
+
+
+def test_solve_fixture_oracle_fails_on_a_wrong_expected_value(capsys, monkeypatch):
+    import dataclasses
+
+    from packgraph import fixtures
+
+    build = fixtures._BUILDERS["fig2_5cp"]
+
+    def wrong():
+        fx = build()
+        return dataclasses.replace(fx, expected={**fx.expected, "alg_weight": 36})
+
+    monkeypatch.setitem(fixtures._BUILDERS, "fig2_5cp", wrong)
+    code, out, err = run_cli(capsys, *FIG2_PAPER)
+    assert code == 1
+    assert out == ""
+    assert "alg_weight: expected 36, got 35" in err
+
+
 def test_solve_deterministic_output(capsys, tmp_path):
     args = ("solve", "--in", "fig3", "--algo", "alg6",
             "--override-matching", "paper")

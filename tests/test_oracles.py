@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import graph_from_matrix
+from conftest import graph_from_matrix, uniform_graph
 from packgraph.fixtures import get_fixture
 from packgraph.graph import generate_instance, packing_weight, validate_packing
 from packgraph.oracles import (
@@ -61,6 +63,40 @@ def test_dp_matches_brute_force():
                 optimal_k_packing(g, 4, kind)[1]
                 == brute_force_optimal_packing(g, 4, kind)
             )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_oracle_matches_brute_force_property(data):
+    n = data.draw(st.integers(3, 10), label="n")
+    kind = data.draw(st.sampled_from(["cycle", "path"]), label="kind")
+    # k <= 8 keeps the brute force's per-block order enumeration small
+    ks = [k for k in range(2 if kind == "path" else 3, min(n, 8) + 1) if n % k == 0]
+    k = data.draw(st.sampled_from(ks), label="k")
+    klass = data.draw(st.sampled_from(["general", "metric", "zero_one", "one_two"]))
+    g = generate_instance(n, klass, seed=data.draw(st.integers(0, 10**6), label="seed"))
+    best = brute_force_optimal_packing(g, k, kind)
+    packing, w = optimal_k_packing(g, k, kind)
+    assert w == best
+    assert validate_packing(g, packing, k, kind) is None
+    assert packing_weight(g, packing) == best
+
+
+@pytest.mark.parametrize("k, kind", [(1, "path"), (2, "cycle"), (1, "cycle")])
+def test_degenerate_k_is_refused(k, kind):
+    g = generate_instance(6, "general", seed=0)
+    with pytest.raises(ValueError, match=f"a k-{kind} needs k >= "):
+        optimal_k_packing(g, k, kind)
+    with pytest.raises(ValueError, match=f"a k-{kind} needs k >= "):
+        best_k_tour_on_set(g, range(k), kind)
+
+
+def test_oracle_refuses_weights_beyond_int64_sums():
+    g = uniform_graph(8, 1 << 60)
+    with pytest.raises(ValueError, match="overflow"):
+        optimal_k_packing(g, 4, "cycle")
+    assert optimal_k_packing(uniform_graph(8, 1 << 59), 4, "cycle")[1] == 8 << 59
+    assert optimal_k_packing(uniform_graph(8, 1 << 59), 8, "path")[1] == 7 << 59
 
 
 def test_oracle_caps():
