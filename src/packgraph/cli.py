@@ -88,18 +88,27 @@ def _load_input(source: str):
     return load_instance(path.read_text()), None
 
 
-def _parse_matching_file(path: str):
+def _indices(tokens, stop: int, what: str) -> list:
+    """The integers of ``tokens``; a usage error unless each is in 0..stop-1."""
+    ids = [int(t) for t in tokens]
+    for i in ids:
+        if not 0 <= i < stop:
+            raise SystemExit2(f"{what} {i} outside 0..{stop - 1}")
+    return ids
+
+
+def _parse_matching_file(path: str, n: int):
     edges = []
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        u, v = map(int, line.split())
+        u, v = _indices(line.split(), n, f"{path}: vertex id")
         edges.append((u, v))
     return make_matching(edges)
 
 
-def _parse_plan_file(path: str, matching):
+def _parse_plan_file(path: str, matching, n: int):
     """Each line: edge indices into the matching, then ':', then the
     isolated vertex id(s) of the group."""
     groups = []
@@ -109,8 +118,11 @@ def _parse_plan_file(path: str, matching):
         if not line:
             continue
         left, right = line.split(":")
-        groups.append(tuple(matching.edges[int(t)] for t in left.split()))
-        ids = [int(t) for t in right.split()]
+        idx = _indices(left.split(), matching.size, f"{path}: edge index")
+        groups.append(tuple(matching.edges[i] for i in idx))
+        ids = _indices(right.split(), n, f"{path}: vertex id")
+        if not ids:
+            raise SystemExit2(f"{path}: a group without an isolated vertex")
         iso.append(ids[0] if len(ids) == 1 else tuple(ids))
     return EdgeGroupPlan(groups=tuple(groups), isolated=tuple(iso))
 
@@ -136,7 +148,7 @@ def cmd_solve(args) -> int:
                 raise SystemExit2("no paper matching override for this input")
             matching_override = fx.matching_override
         else:
-            matching_override = _parse_matching_file(args.override_matching)
+            matching_override = _parse_matching_file(args.override_matching, g.n)
     if args.override_plan:
         if args.override_plan == "paper":
             if fx is None or fx.plan_override is None:
@@ -145,7 +157,7 @@ def cmd_solve(args) -> int:
         else:
             if matching_override is None:
                 raise SystemExit2("--override-plan needs --override-matching")
-            plan = _parse_plan_file(args.override_plan, matching_override)
+            plan = _parse_plan_file(args.override_plan, matching_override, g.n)
     tsp = TSP_SOLVERS[args.tsp]
     if args.oracle:
         try:

@@ -32,8 +32,6 @@ from .tsp import exact_max_tsp, split_cycle_best_offset
 
 TspSolver = Callable[[WeightedCompleteGraph], HamiltonianCycle]
 
-EXHAUSTIVE_ORIENTATION_CAP = 12
-
 
 @dataclass(frozen=True)
 class EdgeGroupPlan:
@@ -165,79 +163,38 @@ def _order_group_edges(g: WeightedCompleteGraph, edges: Sequence[tuple]) -> list
     return [s[0]] + s[2:] + [s[1]]
 
 
-def _chain_weight(g, ends: Sequence[int], oriented: Sequence[tuple]) -> int:
-    """Weight of ends[0] t1 h1 ... tm hm ends[-1] including the edges of the
-    oriented chain itself.  For a cycle pass ends = (v, v)."""
-    total = 0
-    prev = ends[0]
-    for t, h in oriented:
-        total += g.weight(prev, t) + g.weight(t, h)
-        prev = h
-    total += g.weight(prev, ends[1])
-    return total
-
-
 def _best_orientation(
     g: WeightedCompleteGraph, ends: Sequence[int], edges: Sequence[tuple]
 ) -> list:
     """Orient each group edge to maximize the spliced chain weight.
 
-    Exhaustive over 2^m for m <= EXHAUSTIVE_ORIENTATION_CAP, otherwise the
-    exact conditional-expectation greedy; both dominate the uniform-random
-    expectation, so the (3m+1)/(2m) per-group bound is preserved.
+    The chain ends[0] t1 h1 ... tm hm ends[1] (for a cycle, ends = (v, v))
+    gains w(h_i, t_(i+1)) between consecutive edges, so a two-state DP along
+    the chain (edge i kept or flipped) finds the exact maximum.  Among the
+    maxima it returns the one with the least flip integer sum(2^i over the
+    flipped i), preferring "kept" from the last edge down.  The exact
+    maximum dominates the uniform-random expectation, so the (3m+1)/(2m)
+    per-group bound is preserved.
     """
-    m = len(edges)
-    if m <= EXHAUSTIVE_ORIENTATION_CAP:
-        best = None
-        best_w = -1
-        for bits in range(1 << m):
-            oriented = [
-                (e[1], e[0]) if (bits >> i) & 1 else e for i, e in enumerate(edges)
-            ]
-            tw = _chain_weight(g, ends, oriented)
-            if tw > best_w:
-                best_w = tw
-                best = oriented
-        return best
-    return _conditional_expectation_orientation(g, ends, edges)
-
-
-def _conditional_expectation_orientation(g, ends, edges) -> list:
-    # fix orientations left to right, each time keeping the choice with the
-    # larger conditional expectation (kept exact: values are scaled by 4)
-    m = len(edges)
-    flips: list = [None] * m
-
-    def _tail(i):
-        return None if flips[i] is None else edges[i][1 if flips[i] else 0]
-
-    def _head(i):
-        return None if flips[i] is None else edges[i][0 if flips[i] else 1]
-
-    def exp4() -> int:
-        total = 0
-        for i in range(m + 1):
-            if i == 0:
-                a_opts = [ends[0]]
-            else:
-                h = _head(i - 1)
-                a_opts = [h] if h is not None else list(edges[i - 1])
-            if i == m:
-                b_opts = [ends[1]]
-            else:
-                t = _tail(i)
-                b_opts = [t] if t is not None else list(edges[i])
-            s = sum(g.weight(a, b) for a in a_opts for b in b_opts)
-            total += s * (4 // (len(a_opts) * len(b_opts)))
-        return total
-
-    for i in range(m):
-        flips[i] = False
-        keep = exp4()
-        flips[i] = True
-        flip = exp4()
-        flips[i] = flip > keep
-    return [(e[1], e[0]) if f else e for e, f in zip(edges, flips)]
+    # ori[i][f]: edge i kept (f = 0) or flipped; ends[1] closes the chain as
+    # one more "edge" whose two states are alike
+    ori = [(e, (e[1], e[0])) for e in edges] + [((ends[1], ends[1]),) * 2]
+    # best[i][f]: heaviest connectors from ends[0] up to the tail of ori[i][f]
+    best = [[g.weight(ends[0], ori[0][f][0]) for f in (0, 1)]]
+    for i in range(1, len(ori)):
+        best.append([
+            max(best[i - 1][p] + g.weight(ori[i - 1][p][1], ori[i][f][0]) for p in (0, 1))
+            for f in (0, 1)
+        ])
+    f, chain = 0, []
+    for i in range(len(edges), 0, -1):
+        tail = ori[i][f][0]
+        f = next(
+            p for p in (0, 1)
+            if best[i - 1][p] + g.weight(ori[i - 1][p][1], tail) == best[i][f]
+        )
+        chain.append(ori[i - 1][f])
+    return chain[::-1]
 
 
 def alg3_matching_kcp_odd(

@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 WEIGHT_CLASSES = ("general", "metric", "zero_one", "one_two", "unknown")
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class FormatError(ValueError):
@@ -158,6 +159,8 @@ def load_instance(text: str) -> WeightedCompleteGraph:
         raise FormatError(f"expected {expected} weights, got {len(entries)}")
     if any(e < 0 for e in entries):
         raise FormatError("negative weight")
+    if any(e > _INT64_MAX for e in entries):
+        raise FormatError(f"weight {max(entries)} does not fit in int64")
     w = np.zeros((n, n), dtype=np.int64)
     it = iter(entries)
     for u in range(n):

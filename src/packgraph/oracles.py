@@ -1,13 +1,12 @@
 """Exact oracles for optimal k-cycle/k-path packings and ratio audits.
 
-The optimum is computed in two vectorized stages over vertex subsets.  A
-Held-Karp table, filled one popcount layer at a time, gives the best k-cycle
-or k-path weight of every k-subset at once.  A partition DP then combines
-these blocks, one popcount layer at a time, each block taking the lowest
-vertex not yet covered so that no partition is counted twice.  The vertex
-order of each chosen block is recovered by enumerating that block's distinct
-orders.  Everything is exact integer arithmetic; ratios are reported as
-Fractions.
+The optimum is computed in two vectorized stages over vertex subsets.  The
+Held-Karp kernel of ``tsp``, run up to popcount k, gives the best k-cycle or
+k-path weight of every k-subset at once.  A partition DP then combines these
+blocks, one popcount layer at a time, each block taking the lowest vertex
+not yet covered so that no partition is counted twice.  The vertex order of
+each chosen block is walked back from the kernel's layers.  Everything is
+exact integer arithmetic; ratios are reported as Fractions.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,54 +40,77 @@ from .graph import (
     validate_packing,
 )
 from .matching import max_weight_perfect_matching
-from .tsp import _masks_by_popcount, exact_max_tsp, split_objective_value
+from .tsp import (
+    _held_karp,
+    _masks_by_popcount,
+    _popcount_rank,
+    exact_max_tsp,
+    split_objective_value,
+)
 
-ORDER_CAP = 600_000
 
-
-@lru_cache(maxsize=32)
-def _orders(k: int, kind: str) -> np.ndarray:
-    """Distinct vertex orders of a k-block as index permutations.
-
-    Cycles fix the first position and drop reversals; paths drop reversals.
-    """
+def _require_block(k: int, kind: str) -> None:
+    """ValueError unless ``kind`` is cycle or path and k is large enough for one."""
     if kind == "cycle":
         if k < 3:
             raise ValueError(f"a k-cycle needs k >= 3, got k={k}")
-        count = 1 if k == 3 else factorial(k - 1) // 2
     elif kind == "path":
         if k < 2:
             raise ValueError(f"a k-path needs k >= 2, got k={k}")
-        count = factorial(k) // 2
     else:
         raise ValueError(f"kind must be cycle or path, got {kind!r}")
-    if count > ORDER_CAP:
-        raise ValueError(f"{count} orders exceed the enumeration cap")
+
+
+def _walk(dps: list, rank: np.ndarray, w: np.ndarray, block: int, kind: str):
+    """The lexicographically first heaviest order of the vertices of the
+    mask ``block``, read from the Held-Karp layers ``dps`` (anchored for
+    cycles).  Each step takes the lowest next vertex after which the rest
+    still completes to the optimum.  The reversal of an optimal order is
+    optimal too, so the order starts at the lower end of its path (a cycle
+    at its lowest vertex, its second vertex below its last).
+    Returns (order, weight).
+    """
+    row = dps[bin(block).count("1") - 1][rank[block]]
     if kind == "cycle":
-        if k == 3:
-            return np.array([(0, 1, 2)], dtype=np.int64)
-        perms = [(0,) + p for p in permutations(range(1, k)) if p[0] < p[-1]]
+        # after u -> v the rest of the cycle, back to its start a, is a path
+        # from a through what is left, ending at v
+        a = (block & -block).bit_length() - 1
+        best = int((row + w[a]).max())
+        anchor = 1 << a
     else:
-        perms = [p for p in permutations(range(k)) if p[0] < p[-1]]
-    return np.array(perms, dtype=np.int64)
+        # after u -> v the rest of the path runs through what is left from v
+        a = int(row.argmax())
+        best = int(row[a])
+        anchor = 0
+    order, left, acc = [a], block ^ (1 << a), 0
+    while left:
+        u, rest = order[-1], left | anchor
+        tail = dps[bin(rest).count("1") - 1][rank[rest]]
+        # tail has a path only at the vertices left: take the first of them
+        # that still completes to the optimum
+        v = int((w[u] + tail == best - acc).argmax())
+        acc += int(w[u, v])
+        order.append(v)
+        left ^= 1 << v
+    return order, best
 
 
 def best_k_tour_on_set(
     g: WeightedCompleteGraph, S: Sequence[int], kind: str = "cycle"
 ):
-    """Exhaustive maximum-weight k-cycle or k-path on the vertex set S.
+    """Maximum-weight k-cycle or k-path on the vertex set S.
 
-    Returns (order tuple, weight); the first order of maximum weight wins.
+    Returns (order tuple, weight).  The order is the lexicographically first
+    of maximum weight among the orders that start with the lower end of the
+    path (cycles: at min(S), second vertex below the last).
     """
-    S = np.asarray(sorted(S), dtype=np.int64)
+    S = sorted(S)
     k = len(S)
-    perms = _orders(k, kind)
-    idx = S[perms]
-    ws = g.w[idx[:, :-1], idx[:, 1:]].sum(axis=1)
-    if kind == "cycle":
-        ws = ws + g.w[idx[:, -1], idx[:, 0]]
-    best = int(ws.argmax())
-    return tuple(int(x) for x in idx[best]), int(ws[best])
+    _require_block(k, kind)
+    w = g.w[np.ix_(S, S)].astype(np.int64)
+    dps = list(_held_karp(w, np.zeros(k, dtype=np.int64), k, kind == "cycle"))
+    order, weight = _walk(dps, _popcount_rank(k), w, (1 << k) - 1, kind)
+    return tuple(int(S[i]) for i in order), weight
 
 
 def _default_cap(k: int) -> int:
@@ -99,21 +121,7 @@ class OracleCapError(ValueError):
     """The instance is larger than the exact oracle solves."""
 
 
-# Every sum of the oracle is a sum of at most n weights, so it is exact in
-# int64 while n * max weight fits.  _UNSET marks a Held-Karp state with no
-# path: with k <= n weights added it stays negative, below every real sum.
-_INT64_MAX = int(np.iinfo(np.int64).max)
-_UNSET = np.iinfo(np.int64).min
 _CHUNK = 1 << 16  # entries per temporary array of the partition DP
-
-
-@lru_cache(maxsize=8)
-def _popcount_rank(n: int) -> np.ndarray:
-    """rank[mask]: the position of mask among the n-bit masks of its popcount."""
-    rank = np.empty(1 << n, dtype=np.int64)
-    for masks in _masks_by_popcount(n):
-        rank[masks] = np.arange(masks.size)
-    return rank
 
 
 @lru_cache(maxsize=64)
@@ -121,38 +129,6 @@ def _block_columns(p: int, k: int) -> np.ndarray:
     """The (k-1)-subsets of the positions 1..p-1, in combinations order."""
     cols = list(combinations(range(1, p), k - 1))
     return np.array(cols, dtype=np.int64).reshape(-1, k - 1)
-
-
-def _block_weights(g: WeightedCompleteGraph, k: int, kind: str) -> np.ndarray:
-    """bw[mask]: the best k-cycle or k-path weight on each k-subset mask.
-
-    Held-Karp over the popcount layers 2..k: dp[rank[S], j] is the heaviest
-    path through S ending at j; cycle paths start at min(S) and close back to
-    it.  Only the previous layer is kept, one row per mask of that layer.
-    """
-    n = g.n
-    w = g.w.astype(np.int64)
-    layers = _masks_by_popcount(n)
-    rank = _popcount_rank(n)
-    dp = np.full((n, n), _UNSET, dtype=np.int64)
-    np.fill_diagonal(dp, 0)  # layer 1 lists 1 << v at row v
-    for c in range(2, k + 1):
-        masks = layers[c]
-        nxt = np.full((masks.size, n), _UNSET, dtype=np.int64)
-        for j in range(n):
-            bit = 1 << j
-            has = (masks & bit) != 0
-            if kind == "cycle":
-                has &= (masks & (bit - 1)) != 0  # j is not the start min(S)
-            rows = np.flatnonzero(has)
-            nxt[rows, j] = (dp[rank[masks[rows] ^ bit]] + w[:, j]).max(axis=1)
-        dp = nxt
-    masks = layers[k]
-    if kind == "cycle":
-        dp += w[rank[masks & -masks]]  # close at the lowest vertex: rank[1 << v] = v
-    bw = np.zeros(1 << n, dtype=np.int64)
-    bw[masks] = dp.max(axis=1)
-    return bw
 
 
 def _best_blocks(masks: np.ndarray, p: int, k: int, n: int, f, bw):
@@ -183,12 +159,17 @@ def optimal_k_packing(
     cap = _default_cap(k) if max_n is None else max_n
     if n > cap:
         raise OracleCapError(f"n={n} above oracle cap {cap} for k={k}")
-    _orders(k, kind)  # refuses a kind, or a k too small or too large, up front
-    max_w = int(g.w.max())
-    if n * max_w > _INT64_MAX:
-        raise ValueError(f"weights up to {max_w} overflow the oracle's int64 sums at n={n}")
-    bw = _block_weights(g, k, kind)
+    _require_block(k, kind)
+    w = g.w.astype(np.int64)
+    dps = list(_held_karp(w, np.zeros(n, dtype=np.int64), k, kind == "cycle"))
     layers = _masks_by_popcount(n)
+    rank = _popcount_rank(n)
+    # bw[mask]: the best k-cycle (closed at the lowest vertex, where each
+    # path starts; rank[1 << v] = v) or k-path weight of each k-subset mask
+    masks = layers[k]
+    ends = dps[-1] + w[rank[masks & -masks]] if kind == "cycle" else dps[-1]
+    bw = np.zeros(1 << n, dtype=np.int64)
+    bw[masks] = ends.max(axis=1)
     f = np.zeros(1 << n, dtype=np.int64)  # f[mask]: best packing of mask, popcount p = 0 mod k
     for p in range(k, n + 1, k):
         masks = layers[p]
@@ -200,8 +181,7 @@ def optimal_k_packing(
     mask = (1 << n) - 1
     for p in range(n, 0, -k):
         _, (block,) = _best_blocks(np.array([mask], dtype=np.int64), p, k, n, f, bw)
-        verts = [v for v in range(n) if block >> v & 1]
-        blocks.append(best_k_tour_on_set(g, verts, kind)[0])
+        blocks.append(tuple(_walk(dps, rank, w, int(block), kind)[0]))
         mask ^= int(block)
     if kind == "cycle":
         packing = KCyclePacking(k=k, cycles=tuple(blocks))
@@ -213,11 +193,16 @@ def optimal_k_packing(
 def brute_force_optimal_packing(
     g: WeightedCompleteGraph, k: int, kind: str = "cycle", max_n: int = 10
 ):
-    """Pure partition enumeration; independent check of the DP for small n."""
+    """Pure partition enumeration, each block weighed over all its vertex
+    orders; independent check of the DP for small n."""
     n = g.n
     require_divisible(n, k)
     if n > max_n:
         raise ValueError(f"n={n} above brute-force cap {max_n}")
+
+    def block_weight(verts) -> int:
+        weigh = cycle_weight if kind == "cycle" else path_weight
+        return max(weigh(g, p) for p in permutations(verts))
 
     best = [-1]
 
@@ -229,9 +214,8 @@ def brute_force_optimal_packing(
         anchor = remaining[0]
         for rest in combinations(remaining[1:], k - 1):
             verts = (anchor,) + rest
-            _, bw = best_k_tour_on_set(g, verts, kind)
             left = [v for v in remaining[1:] if v not in rest]
-            rec(left, acc + bw)
+            rec(left, acc + block_weight(verts))
 
     rec(list(range(n)), 0)
     return best[0]
@@ -442,8 +426,7 @@ def _reduction_identity(g, k: int, packing) -> AuditEntry:
     return AuditEntry("reduction_identity", F(lhs), F(rhs), equality=True)
 
 
-# the exact plug enumerates (k-1)!/2 vertex orders, within ORDER_CAP up to k=10
-@_algorithm("reduce12", "cycle", range(3, 11), {"one_two": lambda k: F(1)})
+@_algorithm("reduce12", "cycle", range(3, _NO_MAX), {"one_two": lambda k: F(1)})
 def _run_reduce12(r: Run):
     packing = red.solve_12_via_01(r.g, exact_oracle_solver("cycle", r.k))
     return packing, [_reduction_identity(r.g, r.k, packing)]

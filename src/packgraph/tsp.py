@@ -1,9 +1,11 @@
 """MAX TSP solvers and the offset-based cycle-to-path splitters.
 
-The exact solver is a maximum-weight Held-Karp over (subset, endpoint)
-states, vectorized per popcount layer.  Because it is exact, its tour weight
-dominates any approximate tour, so every downstream ratio guarantee that is
-stated for an approximate TSP black box remains valid with it plugged in.
+``_held_karp`` is the one subset-DP kernel of the package: a maximum-weight
+Held-Karp over (subset, endpoint) states, vectorized per popcount layer.  It
+gives the exact tour here, and the exact oracle's best k-cycles and k-paths
+in ``oracles``.  Because the tour is exact, its weight dominates any
+approximate tour, so every downstream ratio guarantee that is stated for an
+approximate TSP black box remains valid with it plugged in.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graph import (
+    _INT64_MAX,
     HamiltonianCycle,
     KPathPacking,
     WeightedCompleteGraph,
@@ -22,7 +25,9 @@ from .graph import (
 )
 
 EXACT_TSP_CAP = 18
-_NEG = np.int64(-(1 << 50))
+# _UNSET marks a Held-Karp state with no path.  Every weight is below 2^63,
+# so _UNSET plus one weight stays negative, below every real sum.
+_UNSET = np.iinfo(np.int64).min
 
 
 @lru_cache(maxsize=8)
@@ -34,49 +39,71 @@ def _masks_by_popcount(m: int):
     return [masks[pc == c] for c in range(m + 1)]
 
 
-def exact_max_tsp(g: WeightedCompleteGraph, cap: int = EXACT_TSP_CAP) -> HamiltonianCycle:
+@lru_cache(maxsize=8)
+def _popcount_rank(m: int) -> np.ndarray:
+    """rank[mask]: the position of mask among the m-bit masks of its popcount."""
+    rank = np.empty(1 << m, dtype=np.int64)
+    for masks in _masks_by_popcount(m):
+        rank[masks] = np.arange(masks.size)
+    return rank
+
+
+def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
+    """Maximum-weight Held-Karp over the m vertices of the m x m matrix w.
+
+    Yields the popcount layers 1..top: in the layer of popcount c, row
+    rank[S] of the masks S of popcount c holds dp[S, j], the heaviest path
+    through S ending at j, where a path starts at some v with weight
+    first[v] (``anchored``: at v = min(S)).  States with no path hold _UNSET.
+    """
+    m = len(first)
+    max_w = int(max(w.max(), first.max()))
+    if (m + 1) * max_w > _INT64_MAX:
+        raise ValueError(f"weights up to {max_w} overflow int64 sums of {m + 1} weights")
+    layers = _masks_by_popcount(m)
+    rank = _popcount_rank(m)
+    dp = np.full((m, m), _UNSET, dtype=np.int64)
+    np.fill_diagonal(dp, first)  # layer 1 lists 1 << v at row v
+    yield dp
+    for c in range(2, top + 1):
+        masks = layers[c]
+        nxt = np.full((masks.size, m), _UNSET, dtype=np.int64)
+        for j in range(m):
+            bit = 1 << j
+            has = (masks & bit) != 0
+            if anchored:
+                has &= (masks & (bit - 1)) != 0  # j is not the start min(S)
+            rows = np.flatnonzero(has)
+            nxt[rows, j] = (dp[rank[masks[rows] ^ bit]] + w[:, j]).max(axis=1)
+        dp = nxt
+        yield dp
+
+
+def exact_max_tsp(g: WeightedCompleteGraph) -> HamiltonianCycle:
     """Maximum-weight Hamiltonian cycle by dynamic programming.
 
-    States are (visited subset of V \\ {0}, last vertex); transitions add one
-    vertex at a time and the tour closes back to vertex 0.
+    Held-Karp over the paths from vertex 0 through subsets of V \\ {0}; the
+    tour closes back to vertex 0 and is read back from the last vertex,
+    each step taking the first predecessor of maximum weight.
     """
     n = g.n
-    if n > cap:
-        raise ValueError(f"n={n} above exact TSP cap {cap}")
+    if n > EXACT_TSP_CAP:
+        raise ValueError(f"n={n} above exact TSP cap {EXACT_TSP_CAP}")
     if n == 3:
         return HamiltonianCycle((0, 1, 2))
     m = n - 1
     W = g.w[1:, 1:].astype(np.int64)  # W[i, j] = w(i+1, j+1)
     w0 = g.w[0, 1:].astype(np.int64)  # w(0, j+1)
-    full = 1 << m
-    dp = np.full((full, m), _NEG, dtype=np.int64)
-    parent = np.full((full, m), -1, dtype=np.int8)
-    for j in range(m):
-        dp[1 << j, j] = w0[j]
-    layers = _masks_by_popcount(m)
-    for c in range(2, m + 1):
-        masks = layers[c]
-        for j in range(m):
-            bit = np.int64(1 << j)
-            sel = masks[(masks & bit) != 0]
-            if sel.size == 0:
-                continue
-            cand = dp[sel ^ bit] + W[:, j]  # (s, m); invalid i stay hugely negative
-            best = cand.argmax(axis=1)
-            dp[sel, j] = cand[np.arange(sel.size), best]
-            parent[sel, j] = best
-    closing = dp[full - 1] + w0
-    j = int(closing.argmax())
+    dps = list(_held_karp(W, w0, m, anchored=False))
+    rank = _popcount_rank(m)
+    mask = (1 << m) - 1
+    j = int((dps[-1][0] + w0).argmax())
     order = [j]
-    mask = full - 1
-    while parent[mask, j] >= 0:
-        i = int(parent[mask, j])
+    for c in range(m - 1, 0, -1):
         mask ^= 1 << j
-        j = i
+        j = int((dps[c - 1][rank[mask]] + W[:, j]).argmax())
         order.append(j)
-    order.append(-1)  # placeholder for vertex 0
-    tour = tuple([0] + [x + 1 for x in reversed(order[:-1])])
-    return HamiltonianCycle(tour)
+    return HamiltonianCycle((0,) + tuple(x + 1 for x in reversed(order)))
 
 
 def heuristic_max_tsp(g: WeightedCompleteGraph) -> HamiltonianCycle:

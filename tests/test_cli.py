@@ -213,3 +213,35 @@ def test_inadmissible_k_is_refused(capsys, tmp_path):
                              "--count", "1", "--algos", "alg8")
     assert (code, out) == (2, "")
     assert "alg8 needs k = 4" in err
+
+
+def test_out_of_range_input_exits_2(capsys, tmp_path):
+    big = tmp_path / "big.pg"
+    big.write_text(f"packgraph 1 n=4 class=general\n1 1 {10**20}\n1 1\n1\n")
+    code, out, err = run_cli(capsys, "solve", "--in", str(big), "--algo", "alg6", "--k", "4")
+    assert (code, out) == (2, "")
+    assert "does not fit in int64" in err
+    g12, g15 = tmp_path / "g12.pg", tmp_path / "g15.pg"
+    run_cli(capsys, "gen", "--n", "12", "--class", "metric", "--out", str(g12))
+    run_cli(capsys, "gen", "--n", "15", "--class", "metric", "--out", str(g15))
+    pairs = "0 1\n2 3\n4 5\n6 7\n8 9\n"
+    cases = [
+        (g12, "alg7", "4", pairs + "10 12\n", None, "vertex id 12 outside 0..11"),
+        (g12, "alg7", "4", pairs + "-1 10\n", None, "vertex id -1 outside 0..11"),
+        (g15, "alg3", "5", pairs + "10 11\n", "0 6 : 12\n1 2 : 13\n3 4 : 14\n",
+         "edge index 6 outside 0..5"),
+        (g15, "alg3", "5", pairs + "10 11\n", "0 1 : 15\n2 3 : 13\n4 5 : 14\n",
+         "vertex id 15 outside 0..14"),
+        (g15, "alg3", "5", pairs + "10 11\n", "0 1 :\n2 3 : 13\n4 5 : 14\n",
+         "a group without an isolated vertex"),
+    ]
+    for inst, algo, k, matching, plan, message in cases:
+        (tmp_path / "m.txt").write_text(matching)
+        argv = ["solve", "--in", str(inst), "--algo", algo, "--k", k,
+                "--override-matching", str(tmp_path / "m.txt")]
+        if plan:
+            (tmp_path / "p.txt").write_text(plan)
+            argv += ["--override-plan", str(tmp_path / "p.txt")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), message
+        assert message in err and "Traceback" not in err

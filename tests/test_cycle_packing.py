@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graph_from_matrix, uniform_graph
 from packgraph import cycle_packing as cp
@@ -12,6 +14,7 @@ from packgraph.graph import (
     generate_instance,
     matching_weight,
     packing_weight,
+    path_weight,
     validate_packing,
 )
 from packgraph.matching import max_weight_matching_of_size
@@ -130,23 +133,43 @@ def test_group_cycle_contains_matching_and_isolated():
 
 
 def test_orientation_greedy_meets_group_bound():
-    # force the conditional-expectation path and check the per-group bound
-    old = cp.EXHAUSTIVE_ORIENTATION_CAP
-    cp.EXHAUSTIVE_ORIENTATION_CAP = 0
-    try:
+    # m = 2 edges per group at n=15, k=5; one group of m = 13 at n=k=27
+    for n, k in ((15, 5), (27, 27)):
+        mm = (k - 1) // 2
         for seed in range(5):
-            g = generate_instance(15, "metric", seed=seed)
-            C = cp.alg3_matching_kcp_odd(g, 5)
-            m = max_weight_matching_of_size(g, 6)
-            plan = cp.default_plan(g, m, 3, 1)
-            mm = 2
+            g = generate_instance(n, "metric", seed=seed)
+            C = cp.alg3_matching_kcp_odd(g, k)
+            m = max_weight_matching_of_size(g, n // k * mm)
+            plan = cp.default_plan(g, m, n // k, 1)
             for edges, cyc in zip(plan.groups, C.cycles):
+                assert len(edges) == mm
                 gw = sum(g.weight(*e) for e in edges)
                 assert Fraction(cycle_weight(g, cyc)) >= Fraction(
                     (3 * mm + 1) * gw, 2 * mm
                 )
-    finally:
-        cp.EXHAUSTIVE_ORIENTATION_CAP = old
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 8),
+    st.sampled_from(["general", "metric", "zero_one", "one_two"]),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_orientation_matches_exhaustive_search(m, klass, cycle, seed):
+    # reference: every flip integer 0..2^m-1 in turn, the first maximum wins
+    g = generate_instance(18, klass, seed=seed)
+    perm = np.random.default_rng(seed).permutation(18).tolist()
+    edges = [tuple(perm[2 * i : 2 * i + 2]) for i in range(m)]
+    ends = (perm[2 * m],) * 2 if cycle else tuple(perm[2 * m : 2 * m + 2])
+    best, best_w = None, -1
+    for bits in range(1 << m):
+        oriented = [(e[1], e[0]) if bits >> i & 1 else e for i, e in enumerate(edges)]
+        chain = (ends[0],) + tuple(v for e in oriented for v in e) + (ends[1],)
+        cw = path_weight(g, chain)
+        if cw > best_w:
+            best, best_w = oriented, cw
+    assert cp._best_orientation(g, ends, edges) == best
 
 
 def test_alg6_fig3():

@@ -1,12 +1,20 @@
 from fractions import Fraction
+from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_matrix, uniform_graph
 from packgraph.fixtures import get_fixture
-from packgraph.graph import generate_instance, packing_weight, validate_packing
+from packgraph.graph import (
+    cycle_weight,
+    generate_instance,
+    packing_weight,
+    path_weight,
+    validate_packing,
+)
 from packgraph.oracles import (
     ALGORITHMS,
     audit_instance,
@@ -15,6 +23,7 @@ from packgraph.oracles import (
     optimal_k_packing,
     run_algorithm,
 )
+from packgraph.tsp import exact_max_tsp
 
 
 def test_best_k_tour_triangle_path_drops_lightest():
@@ -30,9 +39,33 @@ def test_best_k_tour_subset():
     order, w = best_k_tour_on_set(g, [1, 4, 7, 9], "cycle")
     assert sorted(order) == [1, 4, 7, 9]
     # cycle weight is invariant under rotation of the reported order
-    from packgraph.graph import cycle_weight
-
     assert cycle_weight(g, order) == w
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["cycle", "path"]),
+    st.integers(2, 8),
+    st.sampled_from(["general", "metric", "zero_one", "one_two"]),
+    st.integers(0, 10**6),
+)
+def test_best_k_tour_is_the_first_maximum_of_all_orders(kind, k, klass, seed):
+    # reference: the distinct orders in permutations order (cycles start at
+    # min(S); a path and its reversal, or a cycle and its mirror, once), the
+    # first of maximum weight wins
+    if kind == "cycle" and k < 3:
+        k = 3
+    g = generate_instance(10, klass, seed=seed)
+    S = sorted(np.random.default_rng(seed).choice(10, size=k, replace=False).tolist())
+    if kind == "cycle":
+        orders = [(S[0],) + p for p in permutations(S[1:]) if p[0] < p[-1]]
+        weigh = cycle_weight
+    else:
+        orders = [p for p in permutations(S) if p[0] < p[-1]]
+        weigh = path_weight
+    weights = [weigh(g, p) for p in orders]
+    best = weights.index(max(weights))
+    assert best_k_tour_on_set(g, S, kind) == (orders[best], weights[best])
 
 
 def test_optimal_packing_fixture_values():
@@ -97,6 +130,22 @@ def test_oracle_refuses_weights_beyond_int64_sums():
         optimal_k_packing(g, 4, "cycle")
     assert optimal_k_packing(uniform_graph(8, 1 << 59), 4, "cycle")[1] == 8 << 59
     assert optimal_k_packing(uniform_graph(8, 1 << 59), 8, "path")[1] == 7 << 59
+
+
+def test_oracle_answers_k_equal_n():
+    # a k-cycle packing with k = n is a heaviest tour
+    for klass in ("general", "metric", "zero_one", "one_two"):
+        g = generate_instance(12, klass, seed=1)
+        packing, w = optimal_k_packing(g, 12, "cycle")
+        assert w == packing_weight(g, packing) == cycle_weight(g, exact_max_tsp(g).order)
+    # a Hamiltonian path lies between a tour minus its lightest edge and the tour
+    g = generate_instance(10, "general", seed=1)
+    packing, w = optimal_k_packing(g, 10, "path")
+    assert validate_packing(g, packing, 10, "path") is None
+    tour = exact_max_tsp(g).order
+    tw = cycle_weight(g, tour)
+    lightest = min(g.weight(u, v) for u, v in zip(tour, tour[1:] + tour[:1]))
+    assert tw - lightest <= w == packing_weight(g, packing) <= tw
 
 
 def test_oracle_caps():

@@ -55,9 +55,19 @@ def test_exact_tsp_matches_brute_force():
 
 
 def test_exact_tsp_cap():
-    g = uniform_graph(6, 1)
-    with pytest.raises(ValueError):
-        exact_max_tsp(g, cap=5)
+    g = uniform_graph(19, 1)
+    with pytest.raises(ValueError, match="above exact TSP cap 18"):
+        exact_max_tsp(g)
+
+
+def test_exact_tsp_refuses_weights_beyond_int64_sums():
+    rng = np.random.default_rng(0)
+    w = np.triu(rng.integers(1 << 59, 1 << 61, size=(8, 8)), 1)
+    with pytest.raises(ValueError, match="overflow"):
+        exact_max_tsp(graph_from_matrix(w + w.T))
+    heaviest = ((1 << 63) - 1) // 8  # the heaviest weight whose tour sum fits
+    g = uniform_graph(8, heaviest)
+    assert cycle_weight(g, exact_max_tsp(g).order) == 8 * heaviest
 
 
 def test_heuristic_tsp():
