@@ -60,7 +60,7 @@ class WeightedCompleteGraph:
         return int(self.w[u, v])
 
     def total_weight(self) -> int:
-        return int(self.w.sum()) // 2
+        return sum(map(sum, self.w.tolist())) // 2
 
 
 @dataclass(frozen=True)
@@ -195,23 +195,19 @@ def save_instance(g: WeightedCompleteGraph) -> str:
 def is_metric(g: WeightedCompleteGraph):
     """Triangle-inequality check.
 
-    Returns ``(True, None)`` or ``(False, (u, v, x))`` where
-    ``w(u,v) > w(u,x) + w(x,v)``.
+    Returns ``(True, None)`` or ``(False, (u, x, v))`` where
+    ``w(u,v) > w(u,x) + w(x,v)``.  Sums are taken in uint64, where two
+    non-negative int64 weights cannot overflow.
     """
-    w = g.w
+    w = g.w.astype(np.uint64)
     for u in range(g.n):
         for v in range(u + 1, g.n):
             sums = w[u, :] + w[:, v]
-            x = int(np.argmin(sums + _self_mask(g.n, u, v)))
+            sums[u] = sums[v] = np.iinfo(np.uint64).max
+            x = int(np.argmin(sums))
             if w[u, v] > sums[x]:
                 return False, (u, x, v)
     return True, None
-
-
-def _self_mask(n: int, u: int, v: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=np.int64)
-    mask[u] = mask[v] = np.int64(1) << 60
-    return mask
 
 
 def check_weight_class(g: WeightedCompleteGraph, tag: str) -> bool:

@@ -1,39 +1,477 @@
 """Exact maximum-weight matchings.
 
-The engine is the blossom (primal-dual with shrinking) implementation from
-networkx, driven on an explicit edge list so results are stable across runs.
-Size-constrained matchings go through the dummy-vertex reduction; a
-brute-force enumerator serves as an independent differential oracle.
+The engine, ``_blossom``, is Edmonds' primal-dual blossom method for a
+maximum-weight matching of maximum cardinality, as written up by Z. Galil,
+"Efficient Algorithms for Finding Maximum Matching in Graphs", ACM Computing
+Surveys 18(1), 1986.  It is a port of networkx 3.6's
+``max_weight_matching(G, maxcardinality=True)`` (BSD-3-Clause, Copyright (c)
+2004-2025 NetworkX Developers) onto plain lists over a complete graph:
+vertices are 0..n-1 and blossoms take ids n..2n-1 from a free list.  It makes
+every choice networkx makes (neighbours scanned in ascending order, the queue
+popped last in first out, the blossom leaves in networkx's order, the first
+strict minimum in each delta scan, vertices before blossoms and blossoms in
+creation order), so both return the same matching, ties included.  Weights
+and duals are doubled and held as Python ints, so every quantity is exact
+whatever the size of the weights.
+
+Every engine result is checked by ``check_matching_certificate``: the vertex
+and blossom duals the engine ends with must be feasible, tight on each
+matched edge, and every blossom with a positive dual must be full, which
+proves by LP duality that the matching is a maximum-weight perfect matching.
+Size-constrained matchings go through the dummy-vertex reduction;
+``brute_force_matching`` is an independent subset DP that serves as a
+differential oracle.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Optional, Sequence
-
-import networkx as nx
+from functools import cache
+from typing import Sequence
 
 from .graph import Matching, WeightedCompleteGraph, make_matching
 
-BRUTE_FORCE_CAP = 5_000_000
+BRUTE_FORCE_MAX_N = 16
 
 
 def max_weight_perfect_matching_matrix(w: Sequence[Sequence[int]]) -> list:
     """Maximum-weight perfect matching of a complete graph given as a square
-    symmetric weight matrix.  Returns sorted (u, v) pairs with u < v."""
+    symmetric weight matrix.  Returns sorted (u, v) pairs with u < v, after
+    ``check_matching_certificate`` has accepted the engine's duals."""
     n = len(w)
     if n % 2 != 0:
         raise ValueError("perfect matching needs an even vertex count")
-    G = nx.Graph()
-    G.add_nodes_from(range(n))
+    w2 = [[0] * n for _ in range(n)]
     for u in range(n):
+        row, row2 = w[u], w2[u]
         for v in range(u + 1, n):
-            G.add_edge(u, v, weight=int(w[u][v]))
-    mate = nx.max_weight_matching(G, maxcardinality=True)
-    edges = sorted(tuple(sorted(e)) for e in mate)
-    if len(edges) != n // 2:
-        raise AssertionError("engine returned a non-perfect matching")
-    return edges
+            row2[v] = w2[v][u] = 2 * int(row[v])
+    mate, dual, blossoms = _blossom(w2)
+    check_matching_certificate(w, mate, dual, blossoms)
+    return [(u, v) for u, v in enumerate(mate) if u < v]
+
+
+def check_matching_certificate(
+    w: Sequence[Sequence[int]], mate: list, dual: list, blossoms: list
+) -> None:
+    """Raise ``AssertionError`` unless the duals prove ``mate`` optimal.
+
+    ``mate[v]`` is v's partner, ``dual[v]`` is twice v's dual and
+    ``blossoms`` lists ``(vertices, z)`` pairs.  The certificate holds when
+    ``mate`` is a perfect matching, every z is non-negative, every pair has
+    ``dual[i] + dual[j] - 2 w(i, j) + 2 * sum(z of blossoms holding both)``
+    non-negative and zero on matched pairs, and every blossom with positive z
+    has an odd vertex count and is full, with all but one vertex matched
+    inside it.  Then no perfect matching is heavier (LP duality).  Only the
+    upper triangle of ``w`` is read, all in exact integers.
+    """
+    n = len(w)
+    if len(mate) != n or len(dual) != n:
+        raise AssertionError("certificate has the wrong size")
+    for v, m in enumerate(mate):
+        if not (0 <= m < n and m != v and mate[m] == v):
+            raise AssertionError(f"vertex {v} is not perfectly matched")
+    inner = [[0] * n for _ in range(n)]
+    for verts, z in blossoms:
+        if z < 0:
+            raise AssertionError("negative blossom dual")
+        if z == 0:
+            continue
+        members = set(verts)
+        if len(members) % 2 == 0 or len(members) != len(verts):
+            raise AssertionError("blossom is not an odd vertex set")
+        if sum(mate[v] in members for v in verts) != len(verts) - 1:
+            raise AssertionError("blossom with positive dual is not full")
+        for i in verts:
+            row = inner[i]
+            for j in verts:
+                row[j] += 2 * z
+    for i in range(n):
+        di, row, extra, mi = dual[i], w[i], inner[i], mate[i]
+        for j in range(i + 1, n):
+            s = di + dual[j] - 2 * int(row[j]) + extra[j]
+            if s < 0:
+                raise AssertionError(f"dual infeasible on edge ({i}, {j})")
+            if s and mi == j:
+                raise AssertionError(f"matched edge ({i}, {j}) is not tight")
+
+
+def _trampoline(step, *args) -> None:
+    """Run the generator ``step`` as a recursion on an explicit stack: each
+    tuple it yields is the arguments of a nested call, run to completion
+    before it resumes."""
+    stack = [step(*args)]
+    while stack:
+        for nested in stack[-1]:
+            stack.append(step(*nested))
+            break
+        else:
+            stack.pop()
+
+
+def _blossom(w2: list) -> tuple:
+    """Maximum-weight maximum-cardinality matching of the complete graph with
+    doubled weights ``w2`` (symmetric rows of Python ints, zero diagonal).
+
+    Returns ``(mate, dual, blossoms)``: ``mate[v]`` (-1 if single), the
+    doubled vertex duals, and ``(vertices, z)`` for every blossom left, in
+    creation order.  Labels are 0 (free), 1 (S), 2 (T) and 5 (S with a
+    breadcrumb); edges are ``(v, w)`` tuples and -1 stands for "none".
+    """
+    n = len(w2)
+    nb = 2 * n
+    dual = [max(map(max, w2), default=0) // 2] * n
+    mate = [-1] * n
+    label = [0] * nb
+    labeledge = [None] * nb
+    bestedge = [None] * nb
+    inblossom = list(range(n))
+    parent = [-1] * nb
+    base = list(range(n)) + [-1] * n
+    childs = [None] * nb
+    edges = [None] * nb
+    mybest = [None] * nb
+    zdual = {}  # blossom id -> z, in creation order
+    free = list(range(nb - 1, n - 1, -1))
+    allow = []
+    queue = []
+
+    def slack(e):
+        i, j = e
+        return dual[i] + dual[j] - w2[i][j]
+
+    def leaves(b):
+        # networkx's order: a stack of sub-blossoms, popped from the end
+        out = []
+        stack = list(childs[b])
+        while stack:
+            t = stack.pop()
+            if t >= n:
+                stack.extend(childs[t])
+            else:
+                out.append(t)
+        return out
+
+    def assign_label(w, t, v):
+        # Give w's top-level blossom label t, reached from v (-1: none); a
+        # T-blossom passes label S on to the mate of its base.
+        while True:
+            b = inblossom[w]
+            label[w] = label[b] = t
+            labeledge[w] = labeledge[b] = (v, w) if v >= 0 else None
+            bestedge[w] = bestedge[b] = None
+            if t == 1:
+                if b >= n:
+                    queue.extend(leaves(b))
+                else:
+                    queue.append(b)
+                return
+            v = base[b]
+            w, t = mate[v], 1
+
+    def scan_blossom(v, w):
+        # Trace back from v and w in turn, leaving breadcrumbs; return the
+        # base of the new blossom, or -1 for an augmenting path.
+        path = []
+        top = -1
+        while v != -1:
+            b = inblossom[v]
+            if label[b] & 4:
+                top = base[b]
+                break
+            path.append(b)
+            label[b] = 5
+            if labeledge[b] is None:
+                v = -1
+            else:
+                v = labeledge[b][0]
+                v = labeledge[inblossom[v]][0]
+            if w != -1:
+                v, w = w, v
+        for b in path:
+            label[b] = 1
+        return top
+
+    def add_blossom(top, v, w):
+        bb, bv, bw = inblossom[top], inblossom[v], inblossom[w]
+        b = free.pop()
+        base[b] = top
+        parent[bb] = b
+        path = []
+        edgs = [(v, w)]
+        while bv != bb:
+            parent[bv] = b
+            path.append(bv)
+            edgs.append(labeledge[bv])
+            bv = inblossom[labeledge[bv][0]]
+        path.append(bb)
+        path.reverse()
+        edgs.reverse()
+        while bw != bb:
+            parent[bw] = b
+            path.append(bw)
+            x, y = labeledge[bw]
+            edgs.append((y, x))
+            bw = inblossom[x]
+        childs[b] = path
+        edges[b] = edgs
+        label[b] = 1
+        labeledge[b] = labeledge[bb]
+        zdual[b] = 0
+        for x in leaves(b):
+            if label[inblossom[x]] == 2:
+                queue.append(x)
+            inblossom[x] = b
+        # Least-slack edge from b to each other S-blossom.
+        bestto = {}
+        for s in path:
+            if s >= n and mybest[s] is not None:
+                nblist = mybest[s]
+                mybest[s] = None
+            else:
+                nblist = [
+                    (x, y) for x in (leaves(s) if s >= n else (s,)) for y in range(n) if x != y
+                ]
+            for k in nblist:
+                i, j = k
+                if inblossom[j] == b:
+                    i, j = j, i
+                bj = inblossom[j]
+                if bj != b and label[bj] == 1:
+                    old = bestto.get(bj)
+                    if old is None or dual[i] + dual[j] - w2[i][j] < slack(old):
+                        bestto[bj] = k
+            bestedge[s] = None
+        mybest[b] = list(bestto.values())
+        best = None
+        for k in mybest[b]:
+            ks = slack(k)
+            if best is None or ks < best_slack:
+                best, best_slack = k, ks
+        bestedge[b] = best
+
+    def expand_blossom(b, endstage):
+        for s in childs[b]:
+            parent[s] = -1
+            if s < n:
+                inblossom[s] = s
+            elif endstage and zdual[s] == 0:
+                yield (s, endstage)
+            else:
+                for x in leaves(s):
+                    inblossom[x] = s
+        if not endstage and label[b] == 2:
+            # Relabel the sub-blossoms of an expanding T-blossom, from the
+            # one it was entered through round to its base.
+            cb, eb = childs[b], edges[b]
+            entrychild = inblossom[labeledge[b][1]]
+            j = cb.index(entrychild)
+            if j & 1:
+                j -= len(cb)
+                jstep = 1
+            else:
+                jstep = -1
+            v, w = labeledge[b]
+            while j != 0:
+                if jstep == 1:
+                    p, q = eb[j]
+                else:
+                    q, p = eb[j - 1]
+                label[w] = label[q] = 0
+                assign_label(w, 2, v)
+                allow[p][q] = allow[q][p] = 1
+                j += jstep
+                if jstep == 1:
+                    v, w = eb[j]
+                else:
+                    w, v = eb[j - 1]
+                allow[v][w] = allow[w][v] = 1
+                j += jstep
+            bw = cb[j]
+            label[w] = label[bw] = 2
+            labeledge[w] = labeledge[bw] = (v, w)
+            bestedge[bw] = None
+            j += jstep
+            while cb[j] != entrychild:
+                bv = cb[j]
+                j += jstep
+                if label[bv] == 1:
+                    continue
+                if bv >= n:
+                    for v in leaves(bv):
+                        if label[v]:
+                            break
+                else:
+                    v = bv
+                if label[v]:
+                    label[v] = 0
+                    label[mate[base[bv]]] = 0
+                    assign_label(v, 2, labeledge[v][0])
+        label[b] = 0
+        labeledge[b] = bestedge[b] = None
+        childs[b] = edges[b] = mybest[b] = None
+        parent[b] = base[b] = -1
+        del zdual[b]
+        free.append(b)
+
+    def augment_blossom(b, v):
+        # Swap matched and unmatched edges on the alternating path through
+        # b from v to its base, and make v's sub-blossom the base.
+        t = v
+        while parent[t] != b:
+            t = parent[t]
+        if t >= n:
+            yield (t, v)
+        cb, eb = childs[b], edges[b]
+        i = j = cb.index(t)
+        if i & 1:
+            j -= len(cb)
+            jstep = 1
+        else:
+            jstep = -1
+        while j != 0:
+            j += jstep
+            t = cb[j]
+            if jstep == 1:
+                w, x = eb[j]
+            else:
+                x, w = eb[j - 1]
+            if t >= n:
+                yield (t, w)
+            j += jstep
+            t = cb[j]
+            if t >= n:
+                yield (t, x)
+            mate[w] = x
+            mate[x] = w
+        childs[b] = cb[i:] + cb[:i]
+        edges[b] = eb[i:] + eb[:i]
+        base[b] = base[childs[b][0]]
+
+    def augment_matching(v, w):
+        for s, j in ((v, w), (w, v)):
+            while True:
+                bs = inblossom[s]
+                if bs >= n:
+                    _trampoline(augment_blossom, bs, s)
+                mate[s] = j
+                if labeledge[bs] is None:
+                    break
+                bt = inblossom[labeledge[bs][0]]
+                s, j = labeledge[bt]
+                if bt >= n:
+                    _trampoline(augment_blossom, bt, j)
+                mate[j] = s
+
+    vertices = range(n)
+    while True:
+        # One stage: grow alternating trees until an augmenting path is found.
+        label[:] = [0] * nb
+        labeledge[:] = [None] * nb
+        bestedge[:] = [None] * nb
+        for b in zdual:
+            mybest[b] = None
+        allow[:] = [bytearray(n) for _ in vertices]
+        queue.clear()
+        for v in vertices:
+            if mate[v] == -1 and label[inblossom[v]] == 0:
+                assign_label(v, 1, -1)
+        augmented = False
+        while True:
+            while queue and not augmented:
+                v = queue.pop()
+                bv = inblossom[v]
+                dv, row, arow = dual[v], w2[v], allow[v]
+                # Only this scan and add_blossom write bestedge[bv] while v
+                # is scanned, so its slack is kept here.
+                bslack = None if bestedge[bv] is None else slack(bestedge[bv])
+                for w in vertices:
+                    if w == v:
+                        continue
+                    bw = inblossom[w]
+                    if bv == bw:
+                        continue
+                    if not arow[w]:
+                        kslack = dv + dual[w] - row[w]
+                        if kslack > 0:
+                            # Not allowable: track least-slack edges.
+                            if label[bw] == 1:
+                                if bslack is None or kslack < bslack:
+                                    bestedge[bv], bslack = (v, w), kslack
+                            elif label[w] == 0:
+                                e = bestedge[w]
+                                if e is None or kslack < dual[e[0]] + dual[e[1]] - w2[e[0]][e[1]]:
+                                    bestedge[w] = (v, w)
+                            continue
+                        arow[w] = allow[w][v] = 1
+                    lb = label[bw]
+                    if lb == 0:
+                        assign_label(w, 2, v)
+                    elif lb == 1:
+                        top = scan_blossom(v, w)
+                        if top == -1:
+                            augment_matching(v, w)
+                            augmented = True
+                            break
+                        add_blossom(top, v, w)
+                        bv = inblossom[v]
+                        bslack = None if bestedge[bv] is None else slack(bestedge[bv])
+                    elif label[w] == 0:
+                        label[w] = 2
+                        labeledge[w] = (v, w)
+            if augmented:
+                break
+
+            # No augmenting path under the current duals: find the least
+            # delta that admits a new edge or empties a T-blossom's dual.
+            deltatype, delta, deltaedge, deltablossom = -1, 0, None, -1
+            for v in vertices:
+                if label[inblossom[v]] == 0 and bestedge[v] is not None:
+                    d = slack(bestedge[v])
+                    if deltatype == -1 or d < delta:
+                        deltatype, delta, deltaedge = 2, d, bestedge[v]
+            for b in (*vertices, *zdual):
+                if parent[b] == -1 and label[b] == 1 and bestedge[b] is not None:
+                    d = slack(bestedge[b]) // 2
+                    if deltatype == -1 or d < delta:
+                        deltatype, delta, deltaedge = 3, d, bestedge[b]
+            for b, z in zdual.items():
+                if parent[b] == -1 and label[b] == 2 and (deltatype == -1 or z < delta):
+                    deltatype, delta, deltablossom = 4, z, b
+            if deltatype == -1:
+                # Maximum cardinality reached: a last delta makes the duals
+                # a certificate.
+                deltatype, delta = 1, max(0, min(dual, default=0))
+
+            for v in vertices:
+                lb = label[inblossom[v]]
+                if lb == 1:
+                    dual[v] -= delta
+                elif lb == 2:
+                    dual[v] += delta
+            for b in zdual:
+                if parent[b] == -1:
+                    if label[b] == 1:
+                        zdual[b] += delta
+                    elif label[b] == 2:
+                        zdual[b] -= delta
+
+            if deltatype == 1:
+                break
+            if deltatype == 4:
+                _trampoline(expand_blossom, deltablossom, False)
+            else:
+                v, w = deltaedge
+                allow[v][w] = allow[w][v] = 1
+                queue.append(v)
+
+        if not augmented:
+            break
+        # End of a stage: expand the top-level S-blossoms whose dual is zero.
+        for b in list(zdual):
+            if b in zdual and parent[b] == -1 and label[b] == 1 and zdual[b] == 0:
+                _trampoline(expand_blossom, b, True)
+
+    return mate, dual, [(leaves(b), z) for b, z in zdual.items()]
 
 
 def max_weight_perfect_matching(g: WeightedCompleteGraph) -> Matching:
@@ -73,42 +511,34 @@ def max_weight_matching_of_size(g: WeightedCompleteGraph, p: int) -> Matching:
     return make_matching(real)
 
 
-def brute_force_matching(
-    g: WeightedCompleteGraph, p: int, cap: int = BRUTE_FORCE_CAP
-) -> Matching:
-    """Exhaustive maximum over all matchings of size exactly p."""
+def brute_force_matching(g: WeightedCompleteGraph, p: int) -> Matching:
+    """Maximum over all matchings of size exactly p, by an exact DP over the
+    set of vertices still free: the lowest of them is either left unmatched
+    or paired with a later one.  Shares no code with the blossom engine."""
     if p < 0 or 2 * p > g.n:
         raise ValueError(f"infeasible matching size p={p} for n={g.n}")
-    if _matching_count_estimate(g.n, p) > cap:
+    if g.n > BRUTE_FORCE_MAX_N:
         raise ValueError("instance above brute-force cap")
-    best_w = -1
-    best: Optional[tuple] = None
-    for verts in combinations(range(g.n), 2 * p):
-        for edges in _pairings(list(verts)):
-            tw = sum(g.weight(u, v) for u, v in edges)
-            if tw > best_w:
-                best_w = tw
-                best = edges
-    return make_matching(best if best is not None else ())
+    n = g.n
+    w = g.w.tolist()
 
+    @cache
+    def best(rest: int, r: int):
+        # (weight, edges) of the heaviest r edges within the vertex set rest
+        if r == 0:
+            return 0, ()
+        if rest.bit_count() < 2 * r:
+            return None
+        low = rest & -rest
+        i = low.bit_length() - 1
+        rest ^= low
+        top = best(rest, r)
+        for j in range(i + 1, n):
+            if rest >> j & 1:
+                wt, tail = best(rest ^ (1 << j), r - 1)
+                wt += w[i][j]
+                if top is None or wt > top[0]:
+                    top = (wt, ((i, j),) + tail)
+        return top
 
-def _pairings(verts: list):
-    if not verts:
-        yield ()
-        return
-    u = verts[0]
-    for i in range(1, len(verts)):
-        v = verts[i]
-        rest = verts[1:i] + verts[i + 1 :]
-        for tail in _pairings(rest):
-            yield ((u, v),) + tail
-
-
-def _matching_count_estimate(n: int, p: int) -> int:
-    # C(n, 2p) * (2p-1)!!
-    from math import comb
-
-    dfact = 1
-    for x in range(2 * p - 1, 0, -2):
-        dfact *= x
-    return comb(n, 2 * p) * dfact
+    return make_matching(best((1 << n) - 1, p)[1])

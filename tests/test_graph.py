@@ -72,6 +72,15 @@ def test_is_metric_examples():
     assert {u, v} == {0, 1} and x == 2
 
 
+def test_is_metric_near_int64_max():
+    assert is_metric(uniform_graph(5, 2**62)) == (True, None)
+    top = 2**63 - 1
+    g = graph_from_matrix(
+        [[0, top, 2**61, 2**61], [top, 0, 2**61, 2**61], [2**61, 2**61, 0, 1], [2**61, 2**61, 1, 0]]
+    )
+    assert is_metric(g) == (False, (0, 2, 1))
+
+
 def test_generate_instance_classes():
     g = generate_instance(8, "one_two", seed=7)
     assert check_weight_class(g, "one_two")
