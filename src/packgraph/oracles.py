@@ -70,7 +70,7 @@ def _walk(dps: list, rank: np.ndarray, w: np.ndarray, block: int, kind: str):
     at its lowest vertex, its second vertex below its last).
     Returns (order, weight).
     """
-    row = dps[bin(block).count("1") - 1][rank[block]]
+    row = dps[bin(block).count("1") - 1][:, rank[block]]
     if kind == "cycle":
         # after u -> v the rest of the cycle, back to its start a, is a path
         # from a through what is left, ending at v
@@ -85,7 +85,7 @@ def _walk(dps: list, rank: np.ndarray, w: np.ndarray, block: int, kind: str):
     order, left, acc = [a], block ^ (1 << a), 0
     while left:
         u, rest = order[-1], left | anchor
-        tail = dps[bin(rest).count("1") - 1][rank[rest]]
+        tail = dps[bin(rest).count("1") - 1][:, rank[rest]]
         # tail has a path only at the vertices left: take the first of them
         # that still completes to the optimum
         v = int((w[u] + tail == best - acc).argmax())
@@ -167,9 +167,9 @@ def optimal_k_packing(
     # bw[mask]: the best k-cycle (closed at the lowest vertex, where each
     # path starts; rank[1 << v] = v) or k-path weight of each k-subset mask
     masks = layers[k]
-    ends = dps[-1] + w[rank[masks & -masks]] if kind == "cycle" else dps[-1]
+    ends = dps[-1] + w[:, rank[masks & -masks]] if kind == "cycle" else dps[-1]
     bw = np.zeros(1 << n, dtype=np.int64)
-    bw[masks] = ends.max(axis=1)
+    bw[masks] = ends.max(axis=0)
     f = np.zeros(1 << n, dtype=np.int64)  # f[mask]: best packing of mask, popcount p = 0 mod k
     for p in range(k, n + 1, k):
         masks = layers[p]
@@ -248,6 +248,9 @@ class RatioReport:
     ratio: Fraction
     audits: list = field(default_factory=list)
     packing: object = None
+    # the audits a run must pass: the global ones, and the algorithm's own
+    # where its proof covers the instance's weight class
+    gated: list = field(default_factory=list)
 
     @property
     def all_audits_hold(self) -> bool:
@@ -537,7 +540,9 @@ def audit_instance(
     The tour, M* and the optima are computed once for the instance and shared
     by all algorithms and audits.  Each optimum is computed before the
     algorithm runs, so an instance above the oracle's cap raises
-    OracleCapError before any algorithm has run.
+    OracleCapError before any algorithm has run.  An algorithm's own audits
+    are gated (``RatioReport.gated``) only on the weight classes its proof
+    covers; elsewhere they are reported but may fail.
     """
     specs = [algorithm_spec(name, k) for name in algorithms]
     r = Run(g, k, tsp_solver, matching_override, plan)
@@ -550,6 +555,7 @@ def audit_instance(
         if err:
             raise AssertionError(f"{spec.name} produced an invalid packing: {err}")
         w = packing_weight(g, packing)
+        covered = g.class_tag in spec.guarantee
         reports.append(
             RatioReport(
                 instance_id=instance_id,
@@ -559,6 +565,7 @@ def audit_instance(
                 ratio=Fraction(w, opt) if opt else Fraction(1),
                 audits=audits + global_audits,
                 packing=packing,
+                gated=(audits if covered else []) + global_audits,
             )
         )
     return reports

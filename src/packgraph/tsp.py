@@ -1,11 +1,15 @@
-"""MAX TSP solvers and the offset-based cycle-to-path splitters.
+"""MAX TSP solver and the offset-based cycle-to-path splitters.
 
 ``_held_karp`` is the one subset-DP kernel of the package: a maximum-weight
 Held-Karp over (subset, endpoint) states, vectorized per popcount layer.  It
 gives the exact tour here, and the exact oracle's best k-cycles and k-paths
-in ``oracles``.  Because the tour is exact, its weight dominates any
-approximate tour, so every downstream ratio guarantee that is stated for an
-approximate TSP black box remains valid with it plugged in.
+in ``oracles``.  Each layer is stored vertex-major, ``dp[j, rank[S]]``, so
+that one step of the DP is an add and an elementwise max over contiguous
+rows.  The layers hold int32 where the sum of m + 1 weights fits in it,
+int64 otherwise; every sum read back from them is taken in int64 or Python
+ints.  Because the tour is exact, its weight dominates any approximate tour,
+so every downstream ratio guarantee that is stated for an approximate TSP
+black box remains valid with it plugged in.
 """
 
 from __future__ import annotations
@@ -25,9 +29,6 @@ from .graph import (
 )
 
 EXACT_TSP_CAP = 18
-# _UNSET marks a Held-Karp state with no path.  Every weight is below 2^63,
-# so _UNSET plus one weight stays negative, below every real sum.
-_UNSET = np.iinfo(np.int64).min
 
 
 @lru_cache(maxsize=8)
@@ -51,30 +52,44 @@ def _popcount_rank(m: int) -> np.ndarray:
 def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
     """Maximum-weight Held-Karp over the m vertices of the m x m matrix w.
 
-    Yields the popcount layers 1..top: in the layer of popcount c, row
-    rank[S] of the masks S of popcount c holds dp[S, j], the heaviest path
-    through S ending at j, where a path starts at some v with weight
-    first[v] (``anchored``: at v = min(S)).  States with no path hold _UNSET.
+    Yields the popcount layers 1..top: the layer of popcount c is an
+    (m, C(m, c)) array whose column rank[S], for the masks S of popcount c,
+    holds dp[j, S], the heaviest path through S ending at j, where a path
+    starts at some v with weight first[v] (``anchored``: at v = min(S)).
+    States with no path hold the least value of the layers' dtype.
+
+    The dtype is int32 when m + 1 weights, a tour or a closed block, sum
+    below 2^31, else int64; heavier weights raise ValueError.  The no-path
+    value plus one weight then stays below every real sum.
+
+    A step extends each column of layer c - 1 by the edge to j, a max over
+    the m contiguous rows, and keeps the masks without j (anchored: with a
+    vertex below j).  Removing bit j keeps masks in order, so these are, in
+    order, the sources of the masks of layer c that end at j.
     """
     m = len(first)
     max_w = int(max(w.max(), first.max()))
     if (m + 1) * max_w > _INT64_MAX:
         raise ValueError(f"weights up to {max_w} overflow int64 sums of {m + 1} weights")
+    dtype = np.int32 if (m + 1) * max_w <= np.iinfo(np.int32).max else np.int64
+    unset = np.iinfo(dtype).min
+    w = w.astype(dtype)
     layers = _masks_by_popcount(m)
-    rank = _popcount_rank(m)
-    dp = np.full((m, m), _UNSET, dtype=np.int64)
-    np.fill_diagonal(dp, first)  # layer 1 lists 1 << v at row v
+    dp = np.full((m, m), unset, dtype=dtype)
+    np.fill_diagonal(dp, first)  # layer 1 lists 1 << v at column v
     yield dp
     for c in range(2, top + 1):
-        masks = layers[c]
-        nxt = np.full((masks.size, m), _UNSET, dtype=np.int64)
+        prev, masks = layers[c - 1], layers[c]
+        nxt = np.full((m, masks.size), unset, dtype=dtype)
         for j in range(m):
             bit = 1 << j
-            has = (masks & bit) != 0
-            if anchored:
-                has &= (masks & (bit - 1)) != 0  # j is not the start min(S)
-            rows = np.flatnonzero(has)
-            nxt[rows, j] = (dp[rank[masks[rows] ^ bit]] + w[:, j]).max(axis=1)
+            ends = (masks & bit) != 0
+            sources = (prev & bit) == 0
+            if anchored:  # j is not the start min(S)
+                ends &= (masks & (bit - 1)) != 0
+                sources &= (prev & (bit - 1)) != 0
+            best = np.maximum.reduce(dp + w[:, j, None], axis=0)
+            nxt[j][ends] = best[sources]
         dp = nxt
         yield dp
 
@@ -97,57 +112,13 @@ def exact_max_tsp(g: WeightedCompleteGraph) -> HamiltonianCycle:
     dps = list(_held_karp(W, w0, m, anchored=False))
     rank = _popcount_rank(m)
     mask = (1 << m) - 1
-    j = int((dps[-1][0] + w0).argmax())
+    j = int((dps[-1][:, 0] + w0).argmax())
     order = [j]
     for c in range(m - 1, 0, -1):
         mask ^= 1 << j
-        j = int((dps[c - 1][rank[mask]] + W[:, j]).argmax())
+        j = int((dps[c - 1][:, rank[mask]] + W[:, j]).argmax())
         order.append(j)
     return HamiltonianCycle((0,) + tuple(x + 1 for x in reversed(order)))
-
-
-def heuristic_max_tsp(g: WeightedCompleteGraph) -> HamiltonianCycle:
-    """Greedy heaviest-edge tour construction; deterministic, no ratio claim."""
-    n = g.n
-    edges = sorted(
-        ((u, v) for u in range(n) for v in range(u + 1, n)),
-        key=lambda e: (-g.weight(*e), e),
-    )
-    deg = [0] * n
-    comp = list(range(n))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    adj = [[] for _ in range(n)]
-    taken = 0
-    for u, v in edges:
-        if taken == n - 1:
-            break
-        if deg[u] >= 2 or deg[v] >= 2:
-            continue
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
-        comp[ru] = rv
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append(v)
-        adj[v].append(u)
-        taken += 1
-    # walk the single open path and close it
-    start = next(x for x in range(n) if deg[x] <= 1)
-    tour = [start]
-    prev = -1
-    cur = start
-    while len(tour) < n:
-        nxt = next(x for x in adj[cur] if x != prev)
-        prev, cur = cur, nxt
-        tour.append(cur)
-    return HamiltonianCycle(tuple(tour))
 
 
 def split_cycle_best_offset(

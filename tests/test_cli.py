@@ -175,6 +175,22 @@ def test_bench_passes_and_is_deterministic(capsys):
     assert "summary" in out1
 
 
+@pytest.mark.parametrize("klass", ["general", "zero_one"])
+def test_bench_gates_own_audits_only_on_covered_classes(capsys, klass):
+    # alg7 and alg8 prove nothing off the metric classes: their lemma audits
+    # are reported there but do not fail the run
+    algos = ["alg6", "alg7", "alg8", "general4pp"]
+    code, out, _ = run_cli(capsys, "bench", "--k", "4", "--class", klass, "--n", "8",
+                           "--count", "10", "--algos", ",".join(algos))
+    assert code == 0
+    lines = out.splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert lines[0].startswith("seed,")
+    assert [(r[0], r[4]) for r in rows] == [
+        (str(seed), a) for seed in range(10) for a in algos
+    ] + [("summary", a) for a in algos]
+
+
 def test_bench_unknown_algo(capsys):
     code, _, err = run_cli(capsys, "bench", "--k", "4", "--n", "8",
                            "--algos", "algX")

@@ -30,3 +30,11 @@ def test_fixture_overrides_are_consistent():
 def test_metric_fixtures_are_metric():
     for fid in ("fig2_5cp", "fig5_metric4cp", "fig3_lifted_12"):
         assert is_metric(get_fixture(fid).graph)[0]
+
+
+def test_fig2_optimum_is_bounded_from_above():
+    # a 5-cycle packing of 25 vertices has 25 edges, each of weight <= 2, so
+    # OPT <= 50; the fixture checks find the row packing of weight 50
+    fx = get_fixture("fig2")
+    assert fx.graph.w.max() <= 2
+    assert fx.graph.n * 2 == fx.expected["opt_weight"] == 50

@@ -39,6 +39,38 @@ def test_save_load_roundtrip():
     assert h.denom == g.denom
 
 
+def _assert_roundtrip(g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no declared class may be downgraded
+        h = load_instance(save_instance(g))
+    assert (h.n, h.class_tag, h.denom) == (g.n, g.class_tag, g.denom)
+    assert h.w.dtype == np.int64 and (h.w == g.w).all()
+
+
+@given(st.sampled_from(["general", "metric", "zero_one", "one_two"]),
+       st.integers(3, 20), st.integers(0, 1 << 32), st.integers(1, 10**18))
+@settings(max_examples=60, deadline=None)
+def test_save_load_roundtrip_generated(class_tag, n, seed, denom):
+    g = generate_instance(n, class_tag, seed=seed)
+    _assert_roundtrip(WeightedCompleteGraph(n=n, w=g.w, denom=denom, class_tag=class_tag))
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    n = draw(st.integers(3, 20))
+    upper = draw(st.lists(st.integers(0, (1 << 63) - 1),
+                          min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    w = np.zeros((n, n), dtype=np.int64)
+    w[np.triu_indices(n, 1)] = upper
+    return w + w.T
+
+
+@given(_symmetric_matrices(), st.integers(1, 10**18))
+@settings(max_examples=60, deadline=None)
+def test_save_load_roundtrip_random_matrices(w, denom):
+    _assert_roundtrip(WeightedCompleteGraph(n=len(w), w=w, denom=denom))
+
+
 def test_load_rejects_garbage():
     with pytest.raises(FormatError):
         load_instance("not a packgraph file")

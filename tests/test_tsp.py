@@ -19,8 +19,9 @@ from packgraph.graph import (
 from packgraph.matching import max_weight_perfect_matching
 from packgraph.oracles import optimal_k_packing
 from packgraph.tsp import (
+    _held_karp,
+    _popcount_rank,
     exact_max_tsp,
-    heuristic_max_tsp,
     split_cycle_best_offset,
     split_objective_value,
 )
@@ -70,16 +71,60 @@ def test_exact_tsp_refuses_weights_beyond_int64_sums():
     assert cycle_weight(g, exact_max_tsp(g).order) == 8 * heaviest
 
 
-def test_heuristic_tsp():
-    g = graph_from_matrix([[0, 2, 3], [2, 0, 5], [3, 5, 0]])
-    assert cycle_weight(g, heuristic_max_tsp(g).order) == 10
-    g = uniform_graph(8, 3)
-    assert cycle_weight(g, heuristic_max_tsp(g).order) == 24
-    for seed in range(5):
-        h = generate_instance(10, "metric", seed=seed)
-        assert cycle_weight(h, heuristic_max_tsp(h).order) <= cycle_weight(
-            h, exact_max_tsp(h).order
-        )
+def _reference_held_karp(w, first, top, anchored):
+    """Per popcount c = 1..top, the dict {(S, j): heaviest path through the
+    mask S ending at j}, from a path start v of weight first[v] (anchored:
+    v = min(S)); pure Python."""
+    m = len(first)
+    layers = [{(1 << v, v): first[v] for v in range(m)}]
+    for _ in range(2, top + 1):
+        nxt = {}
+        for (S, i), val in layers[-1].items():
+            for j in range(m):
+                if S >> j & 1 or (anchored and 1 << j < S & -S):
+                    continue
+                key, cand = (S | 1 << j, j), val + w[i][j]
+                if cand > nxt.get(key, -1):
+                    nxt[key] = cand
+        layers.append(nxt)
+    return layers
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """A zero-diagonal m x m matrix, not always symmetric, and path starts,
+    whose heaviest weight is small, or the largest that keeps m + 1 weights
+    below 2^31, or one above it."""
+    m = draw(st.integers(1, 9))
+    limit = ((1 << 31) - 1) // (m + 1)
+    heaviest = draw(st.sampled_from([9, limit, limit + 1]))
+    vals = st.integers(0, heaviest)
+    w = [[0 if i == j else draw(vals) for j in range(m)] for i in range(m)]
+    first = [draw(vals) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        w[0][m - 1] = heaviest
+    else:
+        first[draw(st.integers(0, m - 1))] = heaviest
+    return w, first, draw(st.integers(1, m)), draw(st.booleans()), heaviest <= limit
+
+
+@given(_kernel_inputs())
+@settings(max_examples=200, deadline=None)
+def test_held_karp_matches_a_dict_reference(case):
+    w, first, top, anchored, narrow = case
+    m = len(first)
+    layers = list(_held_karp(np.array(w), np.array(first), top, anchored))
+    reference = _reference_held_karp(w, first, top, anchored)
+    assert len(layers) == len(reference) == top
+    rank = _popcount_rank(m)
+    for c, (dp, ref) in enumerate(zip(layers, reference), start=1):
+        assert dp.dtype == (np.int32 if narrow else np.int64)
+        masks = [S for S in range(1 << m) if bin(S).count("1") == c]
+        assert dp.shape == (m, len(masks))
+        unset = np.iinfo(dp.dtype).min
+        for S in masks:
+            for j in range(m):
+                assert dp[j, rank[S]] == ref.get((S, j), unset), (c, S, j)
 
 
 def test_split_uniform_is_tight():
