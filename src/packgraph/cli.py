@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -41,9 +42,24 @@ class VerificationFailure(Exception):
     pass
 
 
+@contextmanager
+def _file_errors(what: str):
+    """Report an OSError raised in the block as a usage error about ``what``."""
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit2(f"{what}: {exc.strerror or exc}") from None
+
+
+def _read_text(path: str, option: str) -> str:
+    with _file_errors(f"cannot read {option} {path}"):
+        return Path(path).read_text()
+
+
 def _write_out(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text)
+        with _file_errors(f"cannot write --out {out}"):
+            Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -53,6 +69,8 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 
 def cmd_gen(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise SystemExit2(f"--k must be at least 1, got {args.k}")
     if args.k is not None and args.n % args.k != 0:
         raise SystemExit2(f"n={args.n} not divisible by k={args.k}")
     g = generate_instance(
@@ -83,7 +101,7 @@ def _load_input(source: str):
     path = Path(source)
     if not path.exists():
         raise SystemExit2(f"no such instance file or fixture: {source}")
-    return load_instance(path.read_text()), None
+    return load_instance(_read_text(source, "--in")), None
 
 
 def _indices(tokens, stop: int, what: str) -> list:
@@ -97,7 +115,7 @@ def _indices(tokens, stop: int, what: str) -> list:
 
 def _parse_matching_file(path: str, n: int):
     edges = []
-    for line in Path(path).read_text().splitlines():
+    for line in _read_text(path, "--override-matching").splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -111,7 +129,7 @@ def _parse_plan_file(path: str, matching, n: int):
     isolated vertex id(s) of the group."""
     groups = []
     iso = []
-    for line in Path(path).read_text().splitlines():
+    for line in _read_text(path, "--override-plan").splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -252,20 +270,21 @@ def _packing_blocks(packing):
 def cmd_fixtures(args) -> int:
     fx = get_fixture(args.id)
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / f"{fx.id}.packgraph").write_text(save_instance(fx.graph))
-    if fx.matching_override:
-        (outdir / f"{fx.id}.matching").write_text(
-            "".join(f"{u} {v}\n" for u, v in fx.matching_override.edges)
-        )
-    if fx.plan_override:
-        index = {e: i for i, e in enumerate(fx.matching_override.edges)}
-        lines = []
-        for grp, iso in zip(fx.plan_override.groups, fx.plan_override.isolated):
-            idxs = " ".join(str(index[tuple(sorted(e))]) for e in grp)
-            ids = " ".join(map(str, iso if isinstance(iso, tuple) else (iso,)))
-            lines.append(f"{idxs} : {ids}\n")
-        (outdir / f"{fx.id}.plan").write_text("".join(lines))
+    with _file_errors(f"cannot write --out-dir {args.out_dir}"):
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / f"{fx.id}.packgraph").write_text(save_instance(fx.graph))
+        if fx.matching_override:
+            (outdir / f"{fx.id}.matching").write_text(
+                "".join(f"{u} {v}\n" for u, v in fx.matching_override.edges)
+            )
+        if fx.plan_override:
+            index = {e: i for i, e in enumerate(fx.matching_override.edges)}
+            lines = []
+            for grp, iso in zip(fx.plan_override.groups, fx.plan_override.isolated):
+                idxs = " ".join(str(index[tuple(sorted(e))]) for e in grp)
+                ids = " ".join(map(str, iso if isinstance(iso, tuple) else (iso,)))
+                lines.append(f"{idxs} : {ids}\n")
+            (outdir / f"{fx.id}.plan").write_text("".join(lines))
     rows = run_fixture_checks(args.id)
     failed = False
     for name, expected, actual in rows:
@@ -284,6 +303,8 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.count < 1:
+        raise SystemExit2(f"--count must be at least 1, got {args.count}")
     algos = args.algos.split(",")
     for a in algos:
         algorithm_spec(a, args.k)

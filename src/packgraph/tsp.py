@@ -5,11 +5,11 @@ Held-Karp over (subset, endpoint) states, vectorized per popcount layer.  It
 gives the exact tour here, and the exact oracle's best k-cycles and k-paths
 in ``oracles``.  Each layer is stored vertex-major, ``dp[j, rank[S]]``, so
 that one step of the DP is an add and an elementwise max over contiguous
-rows.  The layers hold int32 where the sum of m + 1 weights fits in it,
-int64 otherwise; every sum read back from them is taken in int64 or Python
-ints.  Because the tour is exact, its weight dominates any approximate tour,
-so every downstream ratio guarantee that is stated for an approximate TSP
-black box remains valid with it plugged in.
+rows.  The layers hold the narrowest of int16, int32 and int64 that the sum
+of m + 1 weights fits in; every sum read back from them is taken in int64
+or Python ints.  Because the tour is exact, its weight dominates any
+approximate tour, so every downstream ratio guarantee that is stated for an
+approximate TSP black box remains valid with it plugged in.
 """
 
 from __future__ import annotations
@@ -58,38 +58,46 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
     starts at some v with weight first[v] (``anchored``: at v = min(S)).
     States with no path hold the least value of the layers' dtype.
 
-    The dtype is int32 when m + 1 weights, a tour or a closed block, sum
-    below 2^31, else int64; heavier weights raise ValueError.  The no-path
-    value plus one weight then stays below every real sum.
+    The dtype is int16 when m + 1 weights, a tour or a closed block, sum to
+    at most 2^15 - 1, int32 when they sum to at most 2^31 - 1, else int64;
+    heavier weights raise ValueError.  The no-path value plus one weight
+    then stays below every real sum.
 
     A step extends each column of layer c - 1 by the edge to j, a max over
     the m contiguous rows, and keeps the masks without j (anchored: with a
     vertex below j).  Removing bit j keeps masks in order, so these are, in
-    order, the sources of the masks of layer c that end at j.
+    order, the sources of the masks of layer c that end at j.  The masks
+    that end at each j, and their sources, are found once per layer, and
+    the steps share one buffer for the sums.
     """
     m = len(first)
     max_w = int(max(w.max(), first.max()))
-    if (m + 1) * max_w > _INT64_MAX:
+    bound = (m + 1) * max_w
+    if bound > _INT64_MAX:
         raise ValueError(f"weights up to {max_w} overflow int64 sums of {m + 1} weights")
-    dtype = np.int32 if (m + 1) * max_w <= np.iinfo(np.int32).max else np.int64
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
     unset = np.iinfo(dtype).min
     w = w.astype(dtype)
     layers = _masks_by_popcount(m)
+    bits = 1 << np.arange(m, dtype=np.int32)[:, None]
     dp = np.full((m, m), unset, dtype=dtype)
     np.fill_diagonal(dp, first)  # layer 1 lists 1 << v at column v
     yield dp
     for c in range(2, top + 1):
-        prev, masks = layers[c - 1], layers[c]
+        # int32 holds the masks (the 2^m of them are listed, so m < 31) and
+        # halves the (m, C(m, c)) temporaries of the membership tests
+        prev, masks = layers[c - 1].astype(np.int32), layers[c].astype(np.int32)
+        # row j: the masks that end at j, and their sources, the masks without j
+        ends = (masks & bits) != 0
+        sources = (prev & bits) == 0
+        if anchored:  # j is not the start min(S)
+            ends &= (masks & -masks) < bits
+            sources &= (prev & -prev) < bits
         nxt = np.full((m, masks.size), unset, dtype=dtype)
+        buf = np.empty_like(dp)
         for j in range(m):
-            bit = 1 << j
-            ends = (masks & bit) != 0
-            sources = (prev & bit) == 0
-            if anchored:  # j is not the start min(S)
-                ends &= (masks & (bit - 1)) != 0
-                sources &= (prev & (bit - 1)) != 0
-            best = np.maximum.reduce(dp + w[:, j, None], axis=0)
-            nxt[j][ends] = best[sources]
+            np.add(dp, w[:, j, None], out=buf)
+            nxt[j][ends[j]] = np.maximum.reduce(buf, axis=0)[sources[j]]
         dp = nxt
         yield dp
 

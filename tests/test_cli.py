@@ -2,8 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from packgraph.cli import guarantee_bound, main
+from packgraph.cli import ALGORITHMS, guarantee_bound, main
 
 
 def run_cli(capsys, *argv):
@@ -261,3 +263,80 @@ def test_out_of_range_input_exits_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), message
         assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["gen", "--n", "8", "--k", "0"], "--k"),
+        (["bench", "--k", "4", "--n", "8", "--count", "0", "--algos", "alg7"], "--count"),
+        (["bench", "--k", "4", "--n", "8", "--count", "-1", "--algos", "alg7"], "--count"),
+        (["solve", "--in", "fig5", "--algo", "alg7", "--override-matching", "MISSING"],
+         "--override-matching"),
+        (["solve", "--in", "fig2", "--algo", "alg3", "--override-matching", "paper",
+          "--override-plan", "MISSING"], "--override-plan"),
+        (["solve", "--in", "DIR", "--algo", "alg7", "--k", "4"], "--in"),
+        (["solve", "--in", "fig5", "--algo", "alg7", "--out", "DIR/no/x"], "--out"),
+        (["gen", "--n", "8", "--out", "DIR/no/x"], "--out"),
+        (["bench", "--k", "4", "--n", "8", "--count", "1", "--algos", "alg7",
+          "--out", "DIR/no/x"], "--out"),
+        (["fixtures", "--id", "fig5", "--out-dir", "DIR/file/x"], "--out-dir"),
+    ],
+)
+def test_bad_counts_and_paths_exit_2(capsys, tmp_path, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    argv = [a.replace("DIR", str(tmp_path)) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and named in err
+
+
+FIXTURE_IDS = ["fig2_5cp", "fig3_general4cp", "fig4_general4pp", "fig5_metric4cp",
+               "fig3_lifted_12"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_arguments_exit_0_1_or_2(capsys, tmp_path, monkeypatch, data):
+    # every path is under tmp_path, and the working directory too, so the
+    # run writes nowhere else; "file/x" sits below a regular file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").touch()
+    path = st.sampled_from(["missing/x", "file/x", "file", ".", "out"]).map(
+        lambda p: str(tmp_path / p))
+    ks, ns = st.integers(-1, 5).map(str), st.sampled_from(["0", "3", "4", "8"])
+    klass = st.sampled_from(["general", "metric", "zero_one", "one_two"])
+
+    def optional(*parts):
+        return data.draw(st.one_of(st.just([]), st.tuples(*parts).map(list)))
+
+    command = data.draw(st.sampled_from(["gen", "solve", "fixtures", "bench"]))
+    if command == "gen":
+        argv = ["gen", "--n", data.draw(ns)] + optional(st.just("--k"), ks) + optional(
+            st.just("--class"), klass) + optional(st.just("--out"), path)
+    elif command == "solve":
+        source = data.draw(st.one_of(st.sampled_from(FIXTURE_IDS), path))
+        override = st.one_of(st.just("paper"), path)
+        argv = ["solve", "--in", source, "--algo", data.draw(st.sampled_from(list(ALGORITHMS)))]
+        argv += optional(st.just("--k"), ks) + optional(st.just("--oracle"))
+        argv += optional(st.just("--override-matching"), override)
+        argv += optional(st.just("--override-plan"), override)
+        argv += optional(st.just("--format"), st.just("csv")) + optional(st.just("--out"), path)
+    elif command == "fixtures":
+        fid = data.draw(st.sampled_from(FIXTURE_IDS + ["nope"]))
+        argv = ["fixtures", "--id", fid, "--out-dir", data.draw(path)]
+    else:
+        algos = data.draw(st.lists(st.sampled_from(list(ALGORITHMS) + ["nope"]),
+                                   min_size=1, max_size=2))
+        argv = ["bench", "--k", data.draw(ks), "--n", data.draw(ns), "--count",
+                data.draw(st.integers(-1, 2).map(str)), "--algos", ",".join(algos)]
+        argv += optional(st.just("--class"), klass) + optional(st.just("--out"), path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        assert exc.code == 2
+    else:
+        assert code in (0, 1, 2)
+    capsys.readouterr()

@@ -17,7 +17,11 @@ from packgraph.graph import (
     tilde_weight,
 )
 from packgraph.matching import max_weight_perfect_matching
-from packgraph.oracles import optimal_k_packing
+from packgraph.oracles import (
+    best_k_tour_on_set,
+    brute_force_optimal_packing,
+    optimal_k_packing,
+)
 from packgraph.tsp import (
     _held_karp,
     _popcount_rank,
@@ -94,10 +98,13 @@ def _reference_held_karp(w, first, top, anchored):
 def _kernel_inputs(draw):
     """A zero-diagonal m x m matrix, not always symmetric, and path starts,
     whose heaviest weight is small, or the largest that keeps m + 1 weights
-    below 2^31, or one above it."""
+    within int16 or int32, or one above either."""
     m = draw(st.integers(1, 9))
-    limit = ((1 << 31) - 1) // (m + 1)
-    heaviest = draw(st.sampled_from([9, limit, limit + 1]))
+    l16, l32 = (int(np.iinfo(t).max) // (m + 1) for t in (np.int16, np.int32))
+    heaviest, dtype = draw(st.sampled_from([
+        (9, np.int16), (l16, np.int16), (l16 + 1, np.int32), (l32, np.int32),
+        (l32 + 1, np.int64),
+    ]))
     vals = st.integers(0, heaviest)
     w = [[0 if i == j else draw(vals) for j in range(m)] for i in range(m)]
     first = [draw(vals) for _ in range(m)]
@@ -105,26 +112,73 @@ def _kernel_inputs(draw):
         w[0][m - 1] = heaviest
     else:
         first[draw(st.integers(0, m - 1))] = heaviest
-    return w, first, draw(st.integers(1, m)), draw(st.booleans()), heaviest <= limit
+    return w, first, draw(st.integers(1, m)), draw(st.booleans()), dtype
 
 
 @given(_kernel_inputs())
 @settings(max_examples=200, deadline=None)
 def test_held_karp_matches_a_dict_reference(case):
-    w, first, top, anchored, narrow = case
+    w, first, top, anchored, dtype = case
     m = len(first)
     layers = list(_held_karp(np.array(w), np.array(first), top, anchored))
     reference = _reference_held_karp(w, first, top, anchored)
     assert len(layers) == len(reference) == top
     rank = _popcount_rank(m)
     for c, (dp, ref) in enumerate(zip(layers, reference), start=1):
-        assert dp.dtype == (np.int32 if narrow else np.int64)
+        assert dp.dtype == dtype
         masks = [S for S in range(1 << m) if bin(S).count("1") == c]
         assert dp.shape == (m, len(masks))
         unset = np.iinfo(dp.dtype).min
         for S in masks:
             for j in range(m):
                 assert dp[j, rank[S]] == ref.get((S, j), unset), (c, S, j)
+
+
+_INT16_MAX = int(np.iinfo(np.int16).max)
+
+
+def _straddling_graph(n, m, over, seed):
+    """A random n-vertex graph whose heaviest weight puts (m + 1) weights,
+    the kernel's overflow bound, just within int16 (``over`` 0) or just
+    past it (``over`` 1); the heaviest edge is (0, n - 1)."""
+    heaviest = _INT16_MAX // (m + 1) + over
+    assert ((m + 1) * heaviest > _INT16_MAX) == bool(over)
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.integers(0, heaviest + 1, size=(n, n)), 1)
+    w[0, n - 1] = heaviest
+    return graph_from_matrix(w + w.T)
+
+
+@pytest.mark.parametrize("over", [0, 1])
+@pytest.mark.parametrize("n", range(4, 10))
+def test_readers_agree_across_the_int16_rung(n, over):
+    # the tour's kernel runs on m = n - 1 vertices: n = 7 puts its bound at
+    # 32767 and n = 8 at 32768
+    g = _straddling_graph(n, n - 1, over, seed=n)
+    assert cycle_weight(g, exact_max_tsp(g).order) == _brute_force_tsp(g)
+
+
+@pytest.mark.parametrize("over", [0, 1])
+@pytest.mark.parametrize(
+    "n, k, kind",
+    [(6, 3, "cycle"), (6, 2, "path"), (6, 6, "cycle"), (7, 7, "path"),
+     (8, 4, "cycle"), (8, 4, "path"), (9, 3, "cycle")],
+)
+def test_oracle_readers_agree_across_the_int16_rung(n, k, kind, over):
+    # the oracle's kernel runs on all n vertices (m = n): n = 6 puts its
+    # bound at 32767 and n = 7 at 32768
+    g = _straddling_graph(n, n, over, seed=n + k)
+    packing, weight = optimal_k_packing(g, k, kind)
+    assert weight == brute_force_optimal_packing(g, k, kind)
+    assert packing_weight(g, packing) == weight
+    # a block's kernel runs on its k vertices (m = k); the heaviest edge
+    # (0, n - 1) lies in the block
+    h = _straddling_graph(n, k, over, seed=n + k)
+    S = [*range(k - 1), n - 1]
+    weigh = cycle_weight if kind == "cycle" else path_weight
+    best = max(weigh(h, p) for p in permutations(S))
+    order, w = best_k_tour_on_set(h, S, kind)
+    assert w == weigh(h, order) == best
 
 
 def test_split_uniform_is_tight():
