@@ -1,4 +1,14 @@
-"""k-cycle packing algorithms.
+"""k-cycle packing algorithms, and the frame every algorithm is defined in.
+
+Each algorithm is one ``AlgorithmSpec``: what it packs, its admissible k,
+the ratio the paper proves for it by weight class, and one body that maps a
+``Run`` to (packing, audits), building the audits of its lemmas from its own
+intermediates.  A ``Run`` holds the instance and the options of one run and
+computes the shared intermediates (the tour, M*, the size-p matchings) once.
+Calling the spec is the one gate of every entry point: it refuses an
+inadmissible k, runs the body, and warns once when the input lies outside
+the classes the guarantee covers and is not metric.  Each public function
+is one call of its spec.
 
 Covers the TSP-splitting constructions (tour -> k-paths -> k-cycles), the
 matching-based construction for odd k, and the two contraction-based
@@ -7,11 +17,15 @@ algorithms for k = 4 (general and metric).
 
 from __future__ import annotations
 
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .graph import (
+    WEIGHT_CLASSES,
     HamiltonianCycle,
     KCyclePacking,
     KPathPacking,
@@ -21,16 +35,22 @@ from .graph import (
     is_metric,
     make_matching,
     matching_weight,
+    packing_weight,
+    path_weight,
     require_divisible,
+    tilde_weight,
 )
 from .matching import (
     max_weight_matching_of_size,
     max_weight_perfect_matching,
     max_weight_perfect_matching_matrix,
 )
-from .tsp import exact_max_tsp, split_cycle_best_offset
+from .tsp import exact_max_tsp, split_cycle_best_offset, split_objective_value
 
 TspSolver = Callable[[WeightedCompleteGraph], HamiltonianCycle]
+F = Fraction
+METRIC = ("metric", "one_two")
+_NO_MAX = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -49,19 +69,122 @@ class EdgeGroupPlan:
         return make_matching(e for grp in self.groups for e in grp)
 
 
-def _warn_if_not_metric(g, algo: str, stacklevel: int = 3) -> None:
-    # ratio guarantees, not validity, depend on metricity, so warn not abort;
-    # a private helper one call below the public function passes stacklevel=4
-    # so that the warning points at the caller of the public function
-    if g.class_tag in ("metric", "one_two"):
-        return
-    ok, triple = is_metric(g)
-    if not ok:
-        warnings.warn(
-            f"{algo}: input is not metric (violating triple {triple}); "
-            "the approximation guarantee does not apply",
-            stacklevel=stacklevel,
-        )
+@dataclass(frozen=True)
+class AuditEntry:
+    """One inequality lhs >= rhs (or equality when ``equality`` is set)."""
+
+    name: str
+    lhs: Fraction
+    rhs: Fraction
+    equality: bool = False
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs == self.rhs if self.equality else self.lhs >= self.rhs
+
+
+@dataclass
+class Run:
+    """One instance with the options of a run, and the intermediates computed
+    for it: each is computed on first use, then shared by every algorithm and
+    audit of the run."""
+
+    g: WeightedCompleteGraph
+    k: int
+    tsp_solver: TspSolver = exact_max_tsp
+    matching_override: Optional[Matching] = None
+    plan: Optional[EdgeGroupPlan] = None
+    _tours: dict = field(default_factory=dict)
+    _matchings: dict = field(default_factory=dict)
+
+    def tour(self, solver=None) -> HamiltonianCycle:
+        """The tour of ``solver``, by default the run's TSP solver."""
+        solver = solver or self.tsp_solver
+        if solver not in self._tours:
+            self._tours[solver] = solver(self.g)
+        return self._tours[solver]
+
+    @cached_property
+    def mstar(self) -> Matching:
+        """The engine's maximum-weight perfect matching."""
+        return max_weight_perfect_matching(self.g)
+
+    @cached_property
+    def matching(self) -> Matching:
+        """M* as the contraction algorithms take it: the override, which must
+        be perfect, if one is given."""
+        if self.matching_override is None:
+            return self.mstar
+        if 2 * self.matching_override.size != self.g.n:
+            raise ValueError("matching override is not perfect")
+        return self.matching_override
+
+    def matching_of_size(self, p: int) -> Matching:
+        """A maximum-weight matching of exactly p edges."""
+        if p not in self._matchings:
+            self._matchings[p] = max_weight_matching_of_size(self.g, p)
+        return self._matchings[p]
+
+
+@dataclass(frozen=True)
+class AlgorithmSpec:
+    """One algorithm: what it packs, for which k, what the paper proves for
+    it, and its body."""
+
+    name: str
+    kind: str  # "cycle" | "path"
+    ks: range  # the admissible k
+    # weight class -> the proven ratio as a function of k, or None where the
+    # algorithm has no ratio of its own; the keys are the classes its proof,
+    # and so every audit of a run, covers
+    guarantee: dict
+    body: Callable  # Run -> (packing, the audits of its lemmas)
+
+    def admits(self, k) -> bool:
+        return int(k) == k and int(k) in self.ks
+
+    @property
+    def admissible_k(self) -> str:
+        ks = self.ks
+        if len(ks) == 1:
+            return f"k = {ks.start}"
+        parity = "" if ks.step == 1 else ("odd " if ks.start % 2 else "even ")
+        if ks.stop == _NO_MAX:
+            return f"{parity}k >= {ks.start}"
+        return f"{parity}{ks.start} <= k <= {ks[-1]}"
+
+    def require(self, k) -> None:
+        """ValueError unless k is admissible."""
+        if not self.admits(k):
+            raise ValueError(f"{self.name} needs {self.admissible_k}, got k={k}")
+
+    def __call__(self, r: Run):
+        """Run the algorithm; returns (packing, audits).  The guarantee, not
+        the validity of the packing, depends on the weight class, so input
+        outside the covered classes gets a warning, not an error."""
+        self.require(r.k)
+        require_divisible(r.g.n, r.k)
+        packing, audits = self.body(r)
+        if r.g.class_tag not in self.guarantee:
+            ok, triple = is_metric(r.g)
+            if not ok:
+                # the caller of the public function, run_algorithm or
+                # audit_instance, each of which calls the spec itself
+                warnings.warn(
+                    f"{self.name}: input is not metric (violating triple {triple}); "
+                    "the approximation guarantee does not apply",
+                    stacklevel=3,
+                )
+        return packing, audits
+
+
+def _algorithm(name: str, kind: str, ks: range, guarantee: dict):
+    """Make the decorated body the algorithm ``name``."""
+    return lambda body: AlgorithmSpec(name, kind, ks, guarantee, body)
+
+
+# ---------------------------------------------------------------------------
+# tour splitting: Alg.1 and Alg.2
 
 
 def complete_paths(g: WeightedCompleteGraph, P: KPathPacking) -> KCyclePacking:
@@ -88,6 +211,22 @@ def best_cycle_from_path(g: WeightedCompleteGraph, path: Sequence[int]) -> tuple
     return best
 
 
+def _split_tour(r: Run):
+    """The run's tour split at its best offset, and the averaging audit
+    w(P) >= (1 - 1/k) w(H) of the split (Alg.1 and Alg.4)."""
+    H = r.tour()
+    P = split_cycle_best_offset(r.g, H, r.k, objective="plain")
+    hw = cycle_weight(r.g, H.order)
+    return P, [AuditEntry("offset_plain", F(packing_weight(r.g, P)), F((r.k - 1) * hw, r.k))]
+
+
+@_algorithm("alg1", "cycle", range(3, _NO_MAX),
+            dict.fromkeys(METRIC, lambda k: F(7 * k - 1, 8 * k) * F(k - 1, k)))
+def ALG1(r: Run):
+    P, audits = _split_tour(r)
+    return complete_paths(r.g, P), audits
+
+
 def alg1_metric_kcp(
     g: WeightedCompleteGraph, k: int, tsp_solver: TspSolver = exact_max_tsp
 ) -> KCyclePacking:
@@ -95,15 +234,27 @@ def alg1_metric_kcp(
 
     Output weight is at least (1 - 1/k) of the tour weight on every input.
     """
-    require_divisible(g.n, k)
-    return _alg1(g, k, tsp_solver(g))[0]
+    return ALG1(Run(g, k, tsp_solver))[0]
 
 
-def _alg1(g: WeightedCompleteGraph, k: int, H: HamiltonianCycle):
-    """Alg.1 on the tour H; returns (packing, the split k-path packing)."""
-    _warn_if_not_metric(g, "alg1", stacklevel=4)
-    P = split_cycle_best_offset(g, H, k, objective="plain")
-    return complete_paths(g, P), P
+@_algorithm("alg2", "cycle", range(4, _NO_MAX, 2),
+            dict.fromkeys(METRIC, lambda k: F(7, 8) * F((k - 1) ** 2 + 1, k * (k - 1))))
+def ALG2(r: Run):
+    g, k, H = r.g, r.k, r.tour()
+    P = split_cycle_best_offset(g, H, k, objective="alg2")
+    cycles = tuple(best_cycle_from_path(g, p) for p in P.paths)
+    hw = cycle_weight(g, H.order)
+    obj = split_objective_value(g, P, "alg2")
+    audits = [AuditEntry("offset_alg2", F(obj), F(((k - 1) ** 2 + 1) * hw, k))]
+    for i, (path, cyc) in enumerate(zip(P.paths, cycles)):
+        audits.append(
+            AuditEntry(
+                f"path_cycle[{i}]",
+                F(cycle_weight(g, cyc)),
+                F((k - 2) * path_weight(g, path) + 2 * tilde_weight(g, path), k - 1),
+            )
+        )
+    return KCyclePacking(k=k, cycles=cycles), audits
 
 
 def alg2_metric_kcp_even(
@@ -114,23 +265,11 @@ def alg2_metric_kcp_even(
     On metric inputs the output weight is at least
     (1 - 1/k + 1/(k(k-1))) of the tour weight.
     """
-    if k % 2 != 0:
-        raise ValueError("alg2 needs even k")
-    require_divisible(g.n, k)
-    return _alg2(g, k, tsp_solver(g))[0]
-
-
-def _alg2(g: WeightedCompleteGraph, k: int, H: HamiltonianCycle):
-    """Alg.2 on the tour H; returns (packing, the split k-path packing whose
-    i-th path closes into the i-th cycle)."""
-    _warn_if_not_metric(g, "alg2", stacklevel=4)
-    P = split_cycle_best_offset(g, H, k, objective="alg2")
-    cycles = tuple(best_cycle_from_path(g, p) for p in P.paths)
-    return KCyclePacking(k=k, cycles=cycles), P
+    return ALG2(Run(g, k, tsp_solver))[0]
 
 
 # ---------------------------------------------------------------------------
-# Alg.3: matching-based construction for odd k
+# Alg.3: matching-based construction for odd k (Alg.5 splices paths alike)
 
 
 def default_plan(
@@ -197,6 +336,51 @@ def _best_orientation(
     return chain[::-1]
 
 
+def _splice_matching(r: Run, kind: str, plan: Optional[EdgeGroupPlan]):
+    """Alg.3 (cycles, odd k) and Alg.5 (paths, even k): a maximum-weight
+    matching of size (n/k)m in groups of m = (k-1)/2 resp. (k-2)/2 edges,
+    each group spliced with its isolated vertex resp. endpoint pair.  A plan
+    override must use a matching of optimal weight.
+
+    Returns (packing, the audits w(block) >= (3m+1)/(2m) w(group edges)).
+    """
+    g, k = r.g, r.k
+    iso = 1 if kind == "cycle" else 2
+    groups = g.n // k
+    m = (k - iso) // 2
+    opt_matching = r.matching_of_size(groups * m)
+    if plan is None:
+        plan = default_plan(g, opt_matching, groups, iso_per_group=iso)
+    else:
+        got = plan.matching()
+        if got.size != groups * m or matching_weight(g, got) != matching_weight(g, opt_matching):
+            raise ValueError("plan inconsistent with the maximum-weight matching")
+    blocks = []
+    for edges, ends in zip(plan.groups, plan.isolated):
+        ends = (ends, ends) if kind == "cycle" else ends
+        oriented = _best_orientation(g, ends, _order_group_edges(g, edges))
+        block = (ends[0],) + tuple(v for e in oriented for v in e)
+        blocks.append(block if kind == "cycle" else block + (ends[1],))
+    weight = cycle_weight if kind == "cycle" else path_weight
+    audits = [
+        AuditEntry(
+            f"group_{kind}[{i}]",
+            F(weight(g, block)),
+            F((3 * m + 1) * sum(g.weight(*e) for e in edges), 2 * m),
+        )
+        for i, (edges, block) in enumerate(zip(plan.groups, blocks))
+    ]
+    if kind == "cycle":
+        return KCyclePacking(k=k, cycles=tuple(blocks)), audits
+    return KPathPacking(k=k, paths=tuple(blocks)), audits
+
+
+@_algorithm("alg3", "cycle", range(3, _NO_MAX, 2),
+            dict.fromkeys(METRIC, lambda k: F(3 * k - 1, 4 * k)))
+def ALG3(r: Run):
+    return _splice_matching(r, "cycle", r.plan)
+
+
 def alg3_matching_kcp_odd(
     g: WeightedCompleteGraph, k: int, plan: Optional[EdgeGroupPlan] = None
 ) -> KCyclePacking:
@@ -207,67 +391,54 @@ def alg3_matching_kcp_odd(
     each group's cycle.  A plan override reproduces adversarial fixtures; it
     must use a matching of optimal weight.
     """
-    if k % 2 == 0 or k < 3:
-        raise ValueError("alg3 needs odd k >= 3")
-    require_divisible(g.n, k)
-    return _splice_matching(g, k, "cycle", plan)[0]
-
-
-def _splice_matching(
-    g: WeightedCompleteGraph, k: int, kind: str, plan: Optional[EdgeGroupPlan]
-):
-    """Alg.3 (cycles, odd k) and Alg.5 (paths, even k): a maximum-weight
-    matching of size (n/k)m in groups of m = (k-1)/2 resp. (k-2)/2 edges,
-    each group spliced with its isolated vertex resp. endpoint pair.
-
-    Returns (packing, the plan used).
-    """
-    iso = 1 if kind == "cycle" else 2
-    _warn_if_not_metric(g, "alg3" if kind == "cycle" else "alg5", stacklevel=4)
-    groups = g.n // k
-    p = groups * ((k - iso) // 2)
-    opt_matching = max_weight_matching_of_size(g, p)
-    if plan is None:
-        plan = default_plan(g, opt_matching, groups, iso_per_group=iso)
-    else:
-        got = plan.matching()
-        if got.size != p or matching_weight(g, got) != matching_weight(g, opt_matching):
-            raise ValueError("plan inconsistent with the maximum-weight matching")
-    blocks = []
-    for edges, ends in zip(plan.groups, plan.isolated):
-        ends = (ends, ends) if kind == "cycle" else ends
-        oriented = _best_orientation(g, ends, _order_group_edges(g, edges))
-        block = (ends[0],) + tuple(v for e in oriented for v in e)
-        blocks.append(block if kind == "cycle" else block + (ends[1],))
-    if kind == "cycle":
-        return KCyclePacking(k=k, cycles=tuple(blocks)), plan
-    return KPathPacking(k=k, paths=tuple(blocks)), plan
+    return ALG3(Run(g, k, plan=plan))[0]
 
 
 # ---------------------------------------------------------------------------
 # k = 4 contraction algorithms
 
 
-def _contract_best_connector(g: WeightedCompleteGraph, mstar: Matching):
-    """Collapse each matching edge to a super-vertex; between two
-    super-vertices keep the heaviest of the four connecting edges."""
+def _contract(g: WeightedCompleteGraph, mstar: Matching, closed: bool):
+    """Collapse each edge of the perfect matching M* to a super-vertex.
+
+    Between super-vertices i < j, with M* edges a and b, the super-edge keeps
+    the first heaviest 4-block through a and b:
+    - paths (``closed`` unset): u x y z, x over a and then y over b, u and z
+      their partners, weighing w(x, y);
+    - cycles: a0 a1 b0 b1 before a0 a1 b1 b0, weighing their two edges
+      outside M*.
+    A maximum-weight perfect matching of the super-vertices then picks the
+    blocks.  Returns (the matched blocks, the weight of that matching).
+    """
+    w = g.w.tolist()
     ed = mstar.edges
     s = len(ed)
     wmat = [[0] * s for _ in range(s)]
-    conn = {}
-    for i in range(s):
+    best = {}
+    for i, (a0, a1) in enumerate(ed):
         for j in range(i + 1, s):
-            best = None
-            best_w = -1
-            for x in ed[i]:
-                for y in ed[j]:
-                    wxy = g.weight(x, y)
-                    if wxy > best_w:
-                        best_w = wxy
-                        best = (x, y)
-            wmat[i][j] = wmat[j][i] = best_w
-            conn[(i, j)] = best
-    return wmat, conn
+            b0, b1 = ed[j]
+            blocks = ((a1, a0, b0, b1), (a1, a0, b1, b0), (a0, a1, b0, b1), (a0, a1, b1, b0))
+            top = -1
+            for u, x, y, z in blocks[2:] if closed else blocks:
+                bw = w[x][y] + w[z][u] if closed else w[x][y]
+                if bw > top:
+                    top, best[i, j] = bw, (u, x, y, z)
+            wmat[i][j] = wmat[j][i] = top
+    pairs = max_weight_perfect_matching_matrix(wmat)
+    return tuple(best[i, j] for i, j in pairs), sum(wmat[i][j] for i, j in pairs)
+
+
+@_algorithm("alg6", "cycle", range(4, 5), dict.fromkeys(WEIGHT_CLASSES, lambda k: F(3, 4)))
+def ALG6(r: Run):
+    g, mstar = r.g, r.matching
+    blocks, super_w = _contract(g, mstar, closed=False)
+    C4, P4 = KCyclePacking(4, blocks), KPathPacking(4, blocks)
+    mw = matching_weight(g, mstar)
+    return C4, [
+        AuditEntry("contains_matching", F(packing_weight(g, C4)), F(mw)),
+        AuditEntry("p4_identity", F(packing_weight(g, P4)), F(mw + super_w), equality=True),
+    ]
 
 
 def alg6_general_4cp(
@@ -278,25 +449,17 @@ def alg6_general_4cp(
     Returns (cycle packing, the intermediate 4-path packing P4); the path
     packing weight equals w(M*) + w(contracted matching).
     """
-    require_divisible(g.n, 4)
-    return _alg6(g, matching_override or max_weight_perfect_matching(g))[:2]
+    C4, _ = ALG6(Run(g, 4, matching_override=matching_override))
+    return C4, KPathPacking(4, C4.cycles)
 
 
-def _alg6(g: WeightedCompleteGraph, mstar: Matching):
-    """Alg.6 on the perfect matching M*; returns (cycle packing, P4, weight
-    of the maximum-weight perfect matching of the contracted graph)."""
-    if 2 * mstar.size != g.n:
-        raise ValueError("matching override is not perfect")
-    wmat, conn = _contract_best_connector(g, mstar)
-    super_match = max_weight_perfect_matching_matrix(wmat)
-    paths = []
-    for i, j in super_match:
-        x, y = conn[(i, j)]
-        u = next(z for z in mstar.edges[i] if z != x)
-        z = next(t for t in mstar.edges[j] if t != y)
-        paths.append((u, x, y, z))
-    P4 = KPathPacking(k=4, paths=tuple(paths))
-    return complete_paths(g, P4), P4, sum(wmat[i][j] for i, j in super_match)
+@_algorithm("alg7", "cycle", range(4, 5),
+            {"metric": lambda k: F(5, 6), "one_two": lambda k: F(7, 8)})
+def ALG7(r: Run):
+    cycles, _ = _contract(r.g, r.matching, closed=True)
+    used = {frozenset(e) for c in cycles for e in zip(c, c[1:] + c[:1])}
+    contains = all(frozenset(e) in used for e in r.matching.edges)
+    return KCyclePacking(4, cycles), [AuditEntry("contains_matching_edges", F(int(contains)), F(1))]
 
 
 def alg7_metric_4cp(
@@ -309,27 +472,4 @@ def alg7_metric_4cp(
     super-vertices yields the maximum-weight 4-cycle packing containing every
     edge of M*.
     """
-    require_divisible(g.n, 4)
-    _warn_if_not_metric(g, "alg7")
-    mstar = matching_override or max_weight_perfect_matching(g)
-    if matching_override is not None and 2 * mstar.size != g.n:
-        raise ValueError("matching override is not perfect")
-    ed = mstar.edges
-    s = len(ed)
-    wmat = [[0] * s for _ in range(s)]
-    config = {}
-    for i in range(s):
-        u, x = ed[i]
-        for j in range(i + 1, s):
-            y, z = ed[j]
-            c1 = g.weight(x, y) + g.weight(z, u)  # cycle u x y z u
-            c2 = g.weight(x, z) + g.weight(y, u)  # cycle u x z y u
-            if c1 >= c2:
-                wmat[i][j] = wmat[j][i] = c1
-                config[(i, j)] = (u, x, y, z)
-            else:
-                wmat[i][j] = wmat[j][i] = c2
-                config[(i, j)] = (u, x, z, y)
-    super_match = max_weight_perfect_matching_matrix(wmat)
-    cycles = tuple(config[(i, j)] for i, j in super_match)
-    return KCyclePacking(k=4, cycles=cycles)
+    return ALG7(Run(g, 4, matching_override=matching_override))[0]

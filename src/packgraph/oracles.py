@@ -1,4 +1,5 @@
-"""Exact oracles for optimal k-cycle/k-path packings and ratio audits.
+"""Exact oracles for optimal k-cycle/k-path packings, the algorithm
+registry, and ratio audits.
 
 The optimum is computed in two vectorized stages over vertex subsets.  The
 Held-Karp kernel of ``tsp``, run up to popcount k, gives the best k-cycle or
@@ -7,26 +8,30 @@ blocks, one popcount layer at a time, each block taking the lowest vertex
 not yet covered so that no partition is counted twice.  The vertex order of
 each chosen block is walked back from the kernel's layers.  Everything is
 exact integer arithmetic; ratios are reported as Fractions.
+
+``ALGORITHMS`` lists the ``AlgorithmSpec`` of every algorithm: those of
+``cycle_packing`` and ``path_packing``, defined next to their helpers, and
+the two {1,2} reductions defined here, which plug in the exact oracle.
+``run_algorithm`` and ``audit_instance`` call a spec just as the public
+functions do, so every entry point runs the same code.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import cycle_packing as cp
 from . import path_packing as pp
 from . import reductions as red
+from .cycle_packing import _NO_MAX, METRIC, AlgorithmSpec, AuditEntry, F, Run, _algorithm
 from .graph import (
-    WEIGHT_CLASSES,
-    HamiltonianCycle,
     KCyclePacking,
     KPathPacking,
     Matching,
@@ -36,17 +41,10 @@ from .graph import (
     packing_weight,
     path_weight,
     require_divisible,
-    tilde_weight,
     validate_packing,
 )
-from .matching import max_weight_perfect_matching
-from .tsp import (
-    _held_karp,
-    _masks_by_popcount,
-    _popcount_rank,
-    exact_max_tsp,
-    split_objective_value,
-)
+from .matching import max_weight_perfect_matching  # noqa: F401  (re-exported)
+from .tsp import _held_karp, _masks_by_popcount, _popcount_rank, exact_max_tsp
 
 
 def _require_block(k: int, kind: str) -> None:
@@ -222,21 +220,7 @@ def brute_force_optimal_packing(
 
 
 # ---------------------------------------------------------------------------
-# ratio reports and lemma audits
-
-
-@dataclass(frozen=True)
-class AuditEntry:
-    """One inequality lhs >= rhs (or equality when ``equality`` is set)."""
-
-    name: str
-    lhs: Fraction
-    rhs: Fraction
-    equality: bool = False
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs if self.equality else self.lhs >= self.rhs
+# the registry, ratio reports and lemma audits
 
 
 @dataclass
@@ -262,166 +246,6 @@ def exact_oracle_solver(kind: str, k: int) -> red.PluggableSolver:
     return red.PluggableSolver(kind, k, lambda h: optimal_k_packing(h, k, kind)[0])
 
 
-@dataclass
-class Run:
-    """One instance with the options of a run, and the intermediates computed
-    for it: each is computed on first use, then shared by every algorithm and
-    audit of the run."""
-
-    g: WeightedCompleteGraph
-    k: int
-    tsp_solver: Callable
-    matching_override: Optional[Matching] = None
-    plan: Optional[cp.EdgeGroupPlan] = None
-    _tours: dict = field(default_factory=dict)
-    _optima: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        require_divisible(self.g.n, self.k)
-
-    def tour(self, solver=None) -> HamiltonianCycle:
-        """The tour of ``solver``, by default the run's TSP solver."""
-        solver = solver or self.tsp_solver
-        if solver not in self._tours:
-            self._tours[solver] = solver(self.g)
-        return self._tours[solver]
-
-    @cached_property
-    def mstar(self) -> Matching:
-        """The engine's maximum-weight perfect matching."""
-        return max_weight_perfect_matching(self.g)
-
-    @property
-    def matching(self) -> Matching:
-        """M* as the matching-based algorithms take it: the override if any."""
-        return self.matching_override or self.mstar
-
-    def optimum(self, kind: str) -> int:
-        """The exact oracle's optimum weight of a k-cycle/k-path packing."""
-        if kind not in self._optima:
-            self._optima[kind] = optimal_k_packing(self.g, self.k, kind)[1]
-        return self._optima[kind]
-
-
-ALGORITHMS: dict = {}  # name -> AlgorithmSpec, in the order of the runners below
-_NO_MAX = sys.maxsize
-F = Fraction
-METRIC = ("metric", "one_two")
-
-
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """One algorithm: what it packs, for which k, what the paper proves for
-    it, and how to run it."""
-
-    name: str
-    kind: str  # "cycle" | "path"
-    ks: range  # the admissible k
-    # weight class -> the proven ratio as a function of k, or None where the
-    # algorithm has no ratio of its own; the keys are the classes its proof,
-    # and so every audit of a run, covers
-    guarantee: dict
-    run: Callable  # Run -> (packing, the audits of its lemmas)
-
-    def admits(self, k) -> bool:
-        return int(k) == k and int(k) in self.ks
-
-    @property
-    def admissible_k(self) -> str:
-        ks = self.ks
-        if len(ks) == 1:
-            return f"k = {ks.start}"
-        parity = "" if ks.step == 1 else ("odd " if ks.start % 2 else "even ")
-        if ks.stop == _NO_MAX:
-            return f"{parity}k >= {ks.start}"
-        return f"{parity}{ks.start} <= k <= {ks[-1]}"
-
-
-def _algorithm(name: str, kind: str, ks: range, guarantee: dict):
-    """Register the decorated runner as the algorithm ``name``."""
-
-    def register(run):
-        ALGORITHMS[name] = AlgorithmSpec(name, kind, ks, guarantee, run)
-        return run
-
-    return register
-
-
-# ---------------------------------------------------------------------------
-# the algorithms; each runner builds its audits from the intermediates the
-# run produced
-
-
-def _offset_plain(g, k: int, H: HamiltonianCycle, P) -> AuditEntry:
-    hw = cycle_weight(g, H.order)
-    return AuditEntry("offset_plain", F(packing_weight(g, P)), F((k - 1) * hw, k))
-
-
-def _group_audits(g, label: str, plan, blocks, m: int, weight) -> list:
-    return [
-        AuditEntry(
-            f"{label}[{i}]",
-            F(weight(g, block)),
-            F((3 * m + 1) * sum(g.weight(*e) for e in edges), 2 * m),
-        )
-        for i, (edges, block) in enumerate(zip(plan.groups, blocks))
-    ]
-
-
-@_algorithm("alg1", "cycle", range(3, _NO_MAX),
-            dict.fromkeys(METRIC, lambda k: F(7 * k - 1, 8 * k) * F(k - 1, k)))
-def _run_alg1(r: Run):
-    H = r.tour()
-    packing, P = cp._alg1(r.g, r.k, H)
-    return packing, [_offset_plain(r.g, r.k, H, P)]
-
-
-@_algorithm("alg2", "cycle", range(4, _NO_MAX, 2),
-            dict.fromkeys(METRIC, lambda k: F(7, 8) * F((k - 1) ** 2 + 1, k * (k - 1))))
-def _run_alg2(r: Run):
-    g, k, H = r.g, r.k, r.tour()
-    packing, P = cp._alg2(g, k, H)
-    hw = cycle_weight(g, H.order)
-    obj = split_objective_value(g, P, "alg2")
-    audits = [AuditEntry("offset_alg2", F(obj), F(((k - 1) ** 2 + 1) * hw, k))]
-    for i, (path, cyc) in enumerate(zip(P.paths, packing.cycles)):
-        audits.append(
-            AuditEntry(
-                f"path_cycle[{i}]",
-                F(cycle_weight(g, cyc)),
-                F((k - 2) * path_weight(g, path) + 2 * tilde_weight(g, path), k - 1),
-            )
-        )
-    return packing, audits
-
-
-@_algorithm("alg3", "cycle", range(3, _NO_MAX, 2),
-            dict.fromkeys(METRIC, lambda k: F(3 * k - 1, 4 * k)))
-def _run_alg3(r: Run):
-    packing, plan = cp._splice_matching(r.g, r.k, "cycle", r.plan)
-    m = (r.k - 1) // 2
-    return packing, _group_audits(r.g, "group_cycle", plan, packing.cycles, m, cycle_weight)
-
-
-@_algorithm("alg6", "cycle", range(4, 5), dict.fromkeys(WEIGHT_CLASSES, lambda k: F(3, 4)))
-def _run_alg6(r: Run):
-    C4, P4, super_w = cp._alg6(r.g, r.matching)
-    mw = matching_weight(r.g, r.matching)
-    return C4, [
-        AuditEntry("contains_matching", F(packing_weight(r.g, C4)), F(mw)),
-        AuditEntry("p4_identity", F(packing_weight(r.g, P4)), F(mw + super_w), equality=True),
-    ]
-
-
-@_algorithm("alg7", "cycle", range(4, 5),
-            {"metric": lambda k: F(5, 6), "one_two": lambda k: F(7, 8)})
-def _run_alg7(r: Run):
-    packing = cp.alg7_metric_4cp(r.g, r.matching)
-    used = {frozenset(e) for c in packing.cycles for e in zip(c, c[1:] + c[:1])}
-    contains = all(frozenset(e) in used for e in r.matching.edges)
-    return packing, [AuditEntry("contains_matching_edges", F(int(contains)), F(1))]
-
-
 def _reduction_identity(g, k: int, packing) -> AuditEntry:
     lifted = red.lift_12_to_01(g)
     off = red.reduction_offset(g.n, k, "cycle")
@@ -430,51 +254,24 @@ def _reduction_identity(g, k: int, packing) -> AuditEntry:
 
 
 @_algorithm("reduce12", "cycle", range(3, _NO_MAX), {"one_two": lambda k: F(1)})
-def _run_reduce12(r: Run):
+def REDUCE12(r: Run):
     packing = red.solve_12_via_01(r.g, exact_oracle_solver("cycle", r.k))
     return packing, [_reduction_identity(r.g, r.k, packing)]
 
 
 @_algorithm("3cp911", "cycle", range(3, 4), {"one_two": lambda k: F(9, 11)})
-def _run_3cp911(r: Run):
+def THREE_CP_911(r: Run):
     packing = red.three_cp_9_11(r.g, exact_oracle_solver("cycle", 3))
     return packing, [_reduction_identity(r.g, r.k, packing)]
 
 
-@_algorithm("alg4", "path", range(3, _NO_MAX), dict.fromkeys(METRIC, lambda k: F(k - 1, k)))
-def _run_alg4(r: Run):
-    H = r.tour()
-    P = pp._alg4(r.g, r.k, H)
-    return P, [_offset_plain(r.g, r.k, H, P)]
-
-
-@_algorithm("alg5", "path", range(4, _NO_MAX, 2), dict.fromkeys(METRIC))
-def _run_alg5(r: Run):
-    packing, plan = cp._splice_matching(r.g, r.k, "path", r.plan)
-    m = (r.k - 2) // 2
-    return packing, _group_audits(r.g, "group_path", plan, packing.paths, m, path_weight)
-
-
-@_algorithm("kpp-combined", "path", range(4, _NO_MAX, 2), dict.fromkeys(
-    METRIC, lambda k: F(27 * k * k - 48 * k + 16, 32 * k * k - 36 * k - 24)))
-def _run_kpp_combined(r: Run):
-    H = r.tour()
-    packing, split, spliced, plan = pp._kpp_combined(r.g, r.k, H)
-    m = (r.k - 2) // 2
-    groups = _group_audits(r.g, "group_path", plan, spliced.paths, m, path_weight)
-    return packing, [_offset_plain(r.g, r.k, H, split)] + groups
-
-
-@_algorithm("general4pp", "path", range(4, 5), dict.fromkeys(WEIGHT_CLASSES, lambda k: F(3, 4)))
-def _run_general4pp(r: Run):
-    return pp.general_4pp(r.g, r.matching), []
-
-
-@_algorithm("alg8", "path", range(4, 5), dict.fromkeys(METRIC, lambda k: F(14, 17)))
-def _run_alg8(r: Run):
-    packing, spliced, mm = pp._alg8(r.g, r.mstar)
-    lhs, rhs = packing_weight(r.g, spliced), 2 * matching_weight(r.g, mm)
-    return packing, [AuditEntry("spliced_vs_matching", F(lhs), F(rhs))]
+ALGORITHMS = {
+    spec.name: spec
+    for spec in (
+        cp.ALG1, cp.ALG2, cp.ALG3, cp.ALG6, cp.ALG7, REDUCE12, THREE_CP_911,
+        pp.ALG4, pp.ALG5, pp.KPP_COMBINED, pp.GENERAL_4PP, pp.ALG8,
+    )
+}
 
 
 def algorithm_spec(name: str, k: int) -> AlgorithmSpec:
@@ -483,8 +280,7 @@ def algorithm_spec(name: str, k: int) -> AlgorithmSpec:
     spec = ALGORITHMS.get(name)
     if spec is None:
         raise ValueError(f"unknown algorithm {name!r}")
-    if not spec.admits(k):
-        raise ValueError(f"{name} needs {spec.admissible_k}, got k={k}")
+    spec.require(k)
     return spec
 
 
@@ -506,23 +302,7 @@ def run_algorithm(
     plan: Optional[cp.EdgeGroupPlan] = None,
 ):
     """Run one named algorithm; returns (packing, audit entries)."""
-    spec = algorithm_spec(name, k)
-    return spec.run(Run(g, k, tsp_solver, matching_override, plan))
-
-
-def _global_audits(r: Run) -> list:
-    """Upper bounds on the kCP optimum from the exact tour and from M*."""
-    g, k = r.g, r.k
-    audits = []
-    if g.class_tag in METRIC and g.n <= 16:
-        hw = cycle_weight(g, r.tour(exact_max_tsp).order)
-        audits.append(
-            AuditEntry("tsp_vs_opt_kcp", F(2 * k * hw), F((2 * k - 1) * r.optimum("cycle")))
-        )
-    if k % 2 == 0 and g.n % 2 == 0:
-        mw = matching_weight(g, r.mstar)
-        audits.append(AuditEntry("matching_vs_opt_kcp", F(2 * mw), F(r.optimum("cycle"))))
-    return audits
+    return algorithm_spec(name, k)(Run(g, k, tsp_solver, matching_override, plan))
 
 
 def audit_instance(
@@ -531,26 +311,36 @@ def audit_instance(
     algorithms: Sequence[str],
     tsp_solver=exact_max_tsp,
     instance_id: str = "",
-    include_global_audits: bool = True,
     matching_override: Optional[Matching] = None,
     plan: Optional[cp.EdgeGroupPlan] = None,
 ) -> list:
     """Run each algorithm, compare against the exact oracle, audit lemmas.
 
-    The tour, M* and the optima are computed once for the instance and shared
-    by all algorithms and audits.  Each optimum is computed before the
-    algorithm runs, so an instance above the oracle's cap raises
-    OracleCapError before any algorithm has run.  An algorithm's own audits
-    are gated (``RatioReport.gated``) only on the weight classes its proof
-    covers; elsewhere they are reported but may fail.
+    The tour, M*, the size-p matchings and the optima are computed once for
+    the instance and shared by all algorithms and audits.  Each optimum is
+    computed before the algorithm runs, so an instance above the oracle's
+    cap raises OracleCapError before any algorithm has run.  An algorithm's
+    own audits are gated (``RatioReport.gated``) only on the weight classes
+    its proof covers; elsewhere they are reported but may fail.  Besides,
+    the kCP optimum is audited against the exact tour (metric classes) and
+    against M* (even k).
     """
     specs = [algorithm_spec(name, k) for name in algorithms]
     r = Run(g, k, tsp_solver, matching_override, plan)
-    global_audits = _global_audits(r) if include_global_audits else []
+    optimum = cache(lambda kind: optimal_k_packing(g, k, kind)[1])
+    global_audits = []
+    if g.class_tag in METRIC and g.n <= 16:
+        hw = cycle_weight(g, r.tour(exact_max_tsp).order)
+        global_audits.append(
+            AuditEntry("tsp_vs_opt_kcp", F(2 * k * hw), F((2 * k - 1) * optimum("cycle")))
+        )
+    if k % 2 == 0 and g.n % 2 == 0:
+        mw = matching_weight(g, r.mstar)
+        global_audits.append(AuditEntry("matching_vs_opt_kcp", F(2 * mw), F(optimum("cycle"))))
     reports = []
     for spec in specs:
-        opt = r.optimum(spec.kind)
-        packing, audits = spec.run(r)
+        opt = optimum(spec.kind)
+        packing, audits = spec(r)
         err = validate_packing(g, packing, k, spec.kind)
         if err:
             raise AssertionError(f"{spec.name} produced an invalid packing: {err}")

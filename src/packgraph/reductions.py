@@ -9,9 +9,8 @@ import numpy as np
 
 from .graph import (
     KCyclePacking,
-    KPathPacking,
     WeightedCompleteGraph,
-    packing_weight,
+    check_weight_class,
     require_divisible,
     validate_packing,
 )
@@ -26,19 +25,14 @@ class PluggableSolver:
     solve: Callable[[WeightedCompleteGraph], object]
 
 
-def _require_one_two(g: WeightedCompleteGraph) -> None:
-    off = ~np.eye(g.n, dtype=bool)
-    if not np.isin(g.w[off], (1, 2)).all():
-        raise ValueError("weights must all be in {1, 2}")
-
-
 def lift_12_to_01(g: WeightedCompleteGraph) -> WeightedCompleteGraph:
     """Subtract 1 from every edge weight.
 
     Packings keep their structure; a k-cycle packing loses exactly n weight
     and a k-path packing exactly n - n/k (one unit per edge).
     """
-    _require_one_two(g)
+    if not check_weight_class(g, "one_two"):
+        raise ValueError("weights must all be in {1, 2}")
     w = g.w - 1
     np.fill_diagonal(w, 0)
     return WeightedCompleteGraph(n=g.n, w=w, denom=g.denom, class_tag="zero_one")
@@ -74,8 +68,3 @@ def three_cp_9_11(
     if zero_one_solver.kind != "cycle" or zero_one_solver.k != 3:
         raise ValueError("plug must solve 3CP")
     return solve_12_via_01(g, zero_one_solver)
-
-
-def packing_weights_both(g: WeightedCompleteGraph, lifted, packing):
-    """(weight on g, weight on the lifted graph) for the same packing."""
-    return packing_weight(g, packing), packing_weight(lifted, packing)

@@ -141,27 +141,19 @@ def split_cycle_best_offset(
     """
     n = g.n
     require_divisible(n, k)
-    if objective not in ("plain", "alg2"):
-        raise ValueError(f"unknown objective {objective!r}")
     if objective == "alg2" and k % 2 != 0:
         raise ValueError("alg2 objective needs even k")
     order = H.order
-    best_val = None
-    best_paths = None
+    best_val = best = None
     for r in range(k):
-        paths = []
-        for b in range(n // k):
-            s = r + 1 + b * k
-            paths.append(tuple(order[(s + i) % n] for i in range(k)))
-        total = sum(path_weight(g, p) for p in paths)
-        if objective == "plain":
-            val = total
-        else:
-            val = (k - 2) * total + 2 * sum(tilde_weight(g, p) for p in paths)
+        paths = tuple(
+            tuple(order[(r + 1 + b * k + i) % n] for i in range(k)) for b in range(n // k)
+        )
+        P = KPathPacking(k=k, paths=paths)
+        val = split_objective_value(g, P, objective)
         if best_val is None or val > best_val:
-            best_val = val
-            best_paths = paths
-    return KPathPacking(k=k, paths=tuple(best_paths))
+            best_val, best = val, P
+    return best
 
 
 def split_objective_value(

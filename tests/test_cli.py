@@ -71,7 +71,7 @@ def test_solve_fixture_oracle_runs_the_algorithm_once(capsys, monkeypatch):
     splice = cycle_packing._splice_matching
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[1])
         return splice(*args, **kwargs)
 
     monkeypatch.setattr(cycle_packing, "_splice_matching", counted)

@@ -38,7 +38,7 @@ def test_weight_identity_random():
         g = generate_instance(9, "one_two", seed=seed)
         lifted = red.lift_12_to_01(g)
         packing, _ = optimal_k_packing(lifted, 3, "cycle")
-        on_g, on_lift = red.packing_weights_both(g, lifted, packing)
+        on_g, on_lift = packing_weight(g, packing), packing_weight(lifted, packing)
         assert on_g == on_lift + red.reduction_offset(9, 3, "cycle")
 
 

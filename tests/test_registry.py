@@ -1,7 +1,9 @@
 """The algorithm registry: each spec runs its library algorithm unchanged,
-refuses inadmissible k, and its audits hold wherever its proof applies."""
+refuses inadmissible k, warns once at the caller on input its guarantee
+does not cover, and its audits hold wherever its proof applies."""
 
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,9 +18,10 @@ from packgraph.graph import (
     KCyclePacking,
     KPathPacking,
     generate_instance,
+    is_metric,
     validate_packing,
 )
-from packgraph.oracles import ALGORITHMS, exact_oracle_solver, run_algorithm
+from packgraph.oracles import ALGORITHMS, audit_instance, exact_oracle_solver, run_algorithm
 
 # name -> (public library call, an admissible (n, k, weight class))
 PUBLIC = {
@@ -41,6 +44,26 @@ PUBLIC = {
         (12, 3, "one_two"),
     ),
 }
+
+# the public functions that take k
+PUBLIC_K = {
+    "alg1": cp.alg1_metric_kcp,
+    "alg2": cp.alg2_metric_kcp_even,
+    "alg3": cp.alg3_matching_kcp_odd,
+    "alg4": pp.alg4_tsp_kpp,
+    "alg5": pp.alg5_matching_kpp_even,
+    "kpp-combined": pp.metric_kpp_combined,
+}
+
+# each way into an algorithm; the warning must name the line that took it
+ENTRY_POINTS = {
+    "public": lambda g, name, k: PUBLIC[name][0](g, k),
+    "run_algorithm": lambda g, name, k: run_algorithm(g, name, k),
+    "audit_instance": lambda g, name, k: audit_instance(g, k, [name]),
+}
+METRIC_ONLY = sorted(
+    name for name, spec in ALGORITHMS.items() if set(spec.guarantee) == {"metric", "one_two"}
+)
 
 
 def test_every_registered_algorithm_has_a_public_call():
@@ -85,15 +108,60 @@ def test_run_algorithm_returns_a_valid_packing_or_refuses_k(data):
         g = generate_instance(data.draw(st.integers(3, 12)), klass, seed=seed)
         with pytest.raises(ValueError, match=f"{name} needs"):
             run_algorithm(g, name, k)
+        if name in PUBLIC_K:
+            with pytest.raises(ValueError, match=f"{name} needs"):
+                PUBLIC_K[name](g, k)
         return
     n = k * data.draw(st.integers(1, 12 // k))
     g = generate_instance(n, klass, seed=seed)
     packing, audits = run_algorithm(g, name, k)
+    if name in PUBLIC_K:
+        assert PUBLIC_K[name](g, k) == packing
     assert isinstance(packing, KCyclePacking if spec.kind == "cycle" else KPathPacking)
     assert packing.k == k
     assert validate_packing(g, packing, k, spec.kind) is None
     failing = [a for a in audits if not a.holds]
     assert not failing, failing
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("name", METRIC_ONLY)
+def test_non_metric_input_warns_once_at_the_caller(name, entry):
+    _, (n, k, _) = PUBLIC[name]
+    g = generate_instance(n, "general", seed=0)
+    assert not is_metric(g)[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ENTRY_POINTS[entry](g, name, k)
+    assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
+    assert str(caught[0].message).startswith(f"{name}: input is not metric")
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "name, klass",
+    [("alg6", "general"), ("general4pp", "general")] + [(n, "metric") for n in METRIC_ONLY],
+)
+def test_no_warning_where_the_guarantee_applies(name, klass, entry):
+    _, (n, k, _) = PUBLIC[name]
+    g = generate_instance(n, klass, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ENTRY_POINTS[entry](g, name, k)
+
+
+def test_audit_instance_computes_each_size_p_matching_once(monkeypatch):
+    calls = []
+    real = cp.max_weight_matching_of_size
+
+    def counted(g, p):
+        calls.append(p)
+        return real(g, p)
+
+    monkeypatch.setattr(cp, "max_weight_matching_of_size", counted)
+    g = generate_instance(12, "metric", seed=0)
+    audit_instance(g, 4, ["alg8", "kpp-combined", "alg5"])
+    assert calls == [3]
 
 
 def test_readme_table_lists_the_registry():
