@@ -336,11 +336,12 @@ def _best_orientation(
     return chain[::-1]
 
 
-def _splice_matching(r: Run, kind: str, plan: Optional[EdgeGroupPlan]):
+def _splice_matching(r: Run, kind: str):
     """Alg.3 (cycles, odd k) and Alg.5 (paths, even k): a maximum-weight
     matching of size (n/k)m in groups of m = (k-1)/2 resp. (k-2)/2 edges,
-    each group spliced with its isolated vertex resp. endpoint pair.  A plan
-    override must use a matching of optimal weight.
+    each group spliced with its isolated vertex resp. endpoint pair, as the
+    run's plan says if it has one.  A plan override must use a matching of
+    optimal weight.
 
     Returns (packing, the audits w(block) >= (3m+1)/(2m) w(group edges)).
     """
@@ -349,6 +350,7 @@ def _splice_matching(r: Run, kind: str, plan: Optional[EdgeGroupPlan]):
     groups = g.n // k
     m = (k - iso) // 2
     opt_matching = r.matching_of_size(groups * m)
+    plan = r.plan
     if plan is None:
         plan = default_plan(g, opt_matching, groups, iso_per_group=iso)
     else:
@@ -378,7 +380,7 @@ def _splice_matching(r: Run, kind: str, plan: Optional[EdgeGroupPlan]):
 @_algorithm("alg3", "cycle", range(3, _NO_MAX, 2),
             dict.fromkeys(METRIC, lambda k: F(3 * k - 1, 4 * k)))
 def ALG3(r: Run):
-    return _splice_matching(r, "cycle", r.plan)
+    return _splice_matching(r, "cycle")
 
 
 def alg3_matching_kcp_odd(

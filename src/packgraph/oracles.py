@@ -5,7 +5,9 @@ The optimum is computed in two vectorized stages over vertex subsets.  The
 Held-Karp kernel of ``tsp``, run up to popcount k, gives the best k-cycle or
 k-path weight of every k-subset at once.  A partition DP then combines these
 blocks, one popcount layer at a time, each block taking the lowest vertex
-not yet covered so that no partition is counted twice.  The vertex order of
+not yet covered so that no partition is counted twice.  So after r blocks
+no vertex below r is left, and the DP fills only the sets that can be left:
+of popcount p, those with no vertex below (n - p) / k.  The vertex order of
 each chosen block is walked back from the kernel's layers.  Everything is
 exact integer arithmetic; ratios are reported as Fractions.
 
@@ -151,7 +153,16 @@ def optimal_k_packing(
     kind: str = "cycle",
     max_n: Optional[int] = None,
 ):
-    """Exact optimum via subset DP.  Returns (packing, weight)."""
+    """Exact optimum via subset DP.  Returns (packing, weight).
+
+    f[M], the best packing of the vertex set M, is filled only on the sets
+    the full set reaches: the p-subsets of {r, ..., n-1}, r = (n - p) / k.
+    Each block takes the lowest vertex left, so the r blocks taken before
+    have taken r distinct lowest vertices, each above the one before, and
+    what is left lies above them.  f[M] reads only f[M - B] for a block B
+    with min(M), a set of the same kind, so the values, and the packing
+    walked back from the full set, are those of the DP over every set.
+    """
     n = g.n
     require_divisible(n, k)
     cap = _default_cap(k) if max_n is None else max_n
@@ -168,9 +179,11 @@ def optimal_k_packing(
     ends = dps[-1] + w[:, rank[masks & -masks]] if kind == "cycle" else dps[-1]
     bw = np.zeros(1 << n, dtype=np.int64)
     bw[masks] = ends.max(axis=0)
-    f = np.zeros(1 << n, dtype=np.int64)  # f[mask]: best packing of mask, popcount p = 0 mod k
+    f = np.zeros(1 << n, dtype=np.int64)  # f[mask]: best packing of mask, where reached
     for p in range(k, n + 1, k):
-        masks = layers[p]
+        # r = (n - p) / k blocks before have taken every vertex below r
+        low = (1 << (n - p) // k) - 1
+        masks = layers[p][(layers[p] & low) == 0]
         step = max(1, _CHUNK // max(comb(p - 1, k - 1), n))
         for s in range(0, masks.size, step):
             chunk = masks[s : s + step]

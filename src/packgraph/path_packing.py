@@ -48,7 +48,7 @@ def alg4_tsp_kpp(
 
 @_algorithm("alg5", "path", range(4, _NO_MAX, 2), dict.fromkeys(METRIC))
 def ALG5(r: Run):
-    return _splice_matching(r, "path", r.plan)
+    return _splice_matching(r, "path")
 
 
 def alg5_matching_kpp_even(
@@ -66,9 +66,8 @@ def alg5_matching_kpp_even(
 @_algorithm("kpp-combined", "path", range(4, _NO_MAX, 2), dict.fromkeys(
     METRIC, lambda k: F(27 * k * k - 48 * k + 16, 32 * k * k - 36 * k - 24)))
 def KPP_COMBINED(r: Run):
-    # the matching-based packing on the default plan, whatever the run's plan
     split, split_audits = _split_tour(r)
-    spliced, group_audits = _splice_matching(r, "path", None)
+    spliced, group_audits = _splice_matching(r, "path")
     pick = split if packing_weight(r.g, split) >= packing_weight(r.g, spliced) else spliced
     return pick, split_audits + group_audits
 
@@ -95,9 +94,8 @@ def general_4pp(
 
 @_algorithm("alg8", "path", range(4, 5), dict.fromkeys(METRIC, lambda k: F(14, 17)))
 def ALG8(r: Run):
-    # the contraction always runs on the engine's M*, never on an override
     g = r.g
-    P4 = KPathPacking(4, _contract(g, r.mstar, closed=False)[0])
+    P4 = KPathPacking(4, _contract(g, r.matching, closed=False)[0])
     mm = r.matching_of_size(g.n // 4)
     iso = sorted(set(range(g.n)) - mm.covered())
     paths = []

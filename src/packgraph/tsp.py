@@ -5,16 +5,18 @@ Held-Karp over (subset, endpoint) states, vectorized per popcount layer.  It
 gives the exact tour here, and the exact oracle's best k-cycles and k-paths
 in ``oracles``.  Each layer is stored vertex-major, ``dp[j, rank[S]]``, so
 that one step of the DP is an add and an elementwise max over contiguous
-rows.  The layers hold the narrowest of int16, int32 and int64 that the sum
-of m + 1 weights fits in; every sum read back from them is taken in int64
-or Python ints.  Because the tour is exact, its weight dominates any
-approximate tour, so every downstream ratio guarantee that is stated for an
-approximate TSP black box remains valid with it plugged in.
+rows, taken for many path ends at once.  The layers hold the narrowest of
+int16, int32 and int64 that the sum of m + 1 weights fits in; every sum
+read back from them is taken in int64 or Python ints.  Because the tour is
+exact, its weight dominates any approximate tour, so every downstream ratio
+guarantee that is stated for an approximate TSP black box remains valid
+with it plugged in.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -29,6 +31,9 @@ from .graph import (
 )
 
 EXACT_TSP_CAP = 18
+# the most entries the sums of one Held-Karp step take (unless one row of
+# sums is larger): a layer whose path ends do not fit takes several steps
+_STEP_BUDGET = 1 << 18
 
 
 @lru_cache(maxsize=8)
@@ -49,6 +54,11 @@ def _popcount_rank(m: int) -> np.ndarray:
     return rank
 
 
+def _step_rows(size: int, m: int) -> int:
+    """The path ends one Held-Karp step serves on a layer of ``size`` entries."""
+    return min(m, max(1, _STEP_BUDGET // size))
+
+
 def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
     """Maximum-weight Held-Karp over the m vertices of the m x m matrix w.
 
@@ -67,8 +77,16 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
     the m contiguous rows, and keeps the masks without j (anchored: with a
     vertex below j).  Removing bit j keeps masks in order, so these are, in
     order, the sources of the masks of layer c that end at j.  The masks
-    that end at each j, and their sources, are found once per layer, and
-    the steps share one buffer for the sums.
+    that end at each j are found once per layer, and the sources of the
+    next layer's steps from them.
+
+    One step serves a run of ends j at once: it adds the edges into them to
+    the whole layer, takes the max over the source axis, and assigns the
+    sources to the ends in row-major order, which pairs them as above
+    because each row holds as many ends as sources.  A run spans as many
+    rows as keep its sums within ``_STEP_BUDGET`` entries, at least one, so
+    the middle layers of m = 17 still take one row per step.  All steps
+    share one buffer for the sums, allocated once per call.
     """
     m = len(first)
     max_w = int(max(w.max(), first.max()))
@@ -77,27 +95,43 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
         raise ValueError(f"weights up to {max_w} overflow int64 sums of {m + 1} weights")
     dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
     unset = np.iinfo(dtype).min
-    w = w.astype(dtype)
+    wt = w.T.astype(dtype)  # wt[j, i] = w[i, j], the edge into the end j
     layers = _masks_by_popcount(m)
     bits = 1 << np.arange(m, dtype=np.int32)[:, None]
     dp = np.full((m, m), unset, dtype=dtype)
     np.fill_diagonal(dp, first)  # layer 1 lists 1 << v at column v
     yield dp
+    # one buffer for the sums of every step, sized for the largest
+    sizes = [m * comb(m, c) for c in range(1, top)]  # the layers the steps read
+    buf = np.empty(max([_step_rows(s, m) * s for s in sizes], default=0), dtype=dtype)
+
+    def tests(c):
+        # row j of layer c: the masks S that end at j, j in S (anchored: and
+        # j above the start min(S)), and, anchored, the masks with j above
+        # min(S); int32 holds the masks (the 2^m of them are listed, so
+        # m < 31) and halves the (m, C(m, c)) temporaries
+        masks = layers[c].astype(np.int32)
+        has = (masks & bits) != 0
+        if not anchored:
+            return has, None
+        above = (masks & -masks) < bits
+        return has & above, above
+
+    ends, above = tests(1)
     for c in range(2, top + 1):
-        # int32 holds the masks (the 2^m of them are listed, so m < 31) and
-        # halves the (m, C(m, c)) temporaries of the membership tests
-        prev, masks = layers[c - 1].astype(np.int32), layers[c].astype(np.int32)
-        # row j: the masks that end at j, and their sources, the masks without j
-        ends = (masks & bits) != 0
-        sources = (prev & bits) == 0
-        if anchored:  # j is not the start min(S)
-            ends &= (masks & -masks) < bits
-            sources &= (prev & -prev) < bits
-        nxt = np.full((m, masks.size), unset, dtype=dtype)
-        buf = np.empty_like(dp)
-        for j in range(m):
-            np.add(dp, w[:, j, None], out=buf)
-            nxt[j][ends[j]] = np.maximum.reduce(buf, axis=0)[sources[j]]
+        # row j: the masks of layer c - 1 that j extends, those without j
+        # (anchored: with a vertex below j), and the masks of layer c that
+        # end at j
+        sources = ~ends if above is None else above ^ ends
+        ends, above = tests(c)
+        nxt = np.full(ends.shape, unset, dtype=dtype)
+        rows = _step_rows(dp.size, m)
+        for j in range(0, m, rows):
+            at = ends[j : j + rows]
+            # sums[r, i, S] = dp[i, S] + w[i, j + r]; the max over i extends S to j + r
+            sums = buf[: len(at) * dp.size].reshape(len(at), m, -1)
+            np.add(dp, wt[j : j + rows, :, None], out=sums)
+            nxt[j : j + rows][at] = np.maximum.reduce(sums, axis=1)[sources[j : j + rows]]
         dp = nxt
         yield dp
 

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import uniform_graph
+from packgraph import cycle_packing as cp
 from packgraph import path_packing as pp
 from packgraph.fixtures import get_fixture
 from packgraph.graph import generate_instance, packing_weight, validate_packing
 from packgraph.matching import max_weight_matching_of_size
-from packgraph.oracles import optimal_k_packing
+from packgraph.oracles import optimal_k_packing, run_algorithm
 
 
 def test_alg4_uniform_is_optimal():
@@ -107,3 +108,28 @@ def test_alg8_dominates_general_4pp():
         assert packing_weight(g, pp.alg8_metric_4pp(g)) >= packing_weight(
             g, pp.general_4pp(g)
         )
+
+
+@pytest.mark.filterwarnings("ignore:alg8. input is not metric")
+def test_alg8_contracts_the_matching_override():
+    fx = get_fixture("fig3")  # {0, 1} weights: outside alg8's guarantee
+    m = {frozenset(e) for e in fx.matching_override.edges}
+    packing, _ = run_algorithm(fx.graph, "alg8", 4, matching_override=fx.matching_override)
+    # here the contraction packing P4 wins, and each of its blocks u x y z
+    # joins two override edges {u, x} and {y, z}
+    for u, x, y, z in packing.paths:
+        assert {frozenset((u, x)), frozenset((y, z))} <= m
+    assert packing != run_algorithm(fx.graph, "alg8", 4)[0]
+
+
+def test_kpp_combined_splices_on_the_run_plan():
+    g = generate_instance(12, "metric", seed=0)
+    default = cp.default_plan(g, max_weight_matching_of_size(g, 3), 3, 2)
+    rotated = cp.EdgeGroupPlan(default.groups, default.isolated[1:] + default.isolated[:1])
+
+    def group_audits(name, plan):
+        _, audits = run_algorithm(g, name, 4, plan=plan)
+        return [a for a in audits if a.name.startswith("group_path")]
+
+    assert group_audits("kpp-combined", rotated) != group_audits("kpp-combined", None)
+    assert group_audits("kpp-combined", rotated) == group_audits("alg5", rotated)

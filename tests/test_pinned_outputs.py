@@ -4,8 +4,12 @@ Each digest covers, for one algorithm and one k, the packings and audits
 (name, lhs, rhs) of ``run_algorithm`` on the four generated classes at seeds
 0-2; for one kind and one k, the packings of ``optimal_k_packing``; and the
 stdout and exit code of ``solve --oracle`` on each fixture and of one
-``bench``.  A refactor that keeps every packing, tie-breaks included, keeps
-every digest.  After a deliberate change of output, rewrite the file with
+``bench``.  Past n = 12, where the exact DPs run their largest layers, one
+digest per n covers the ``exact_max_tsp`` tours (n = 13..18) and one per n,
+kind and k the ``optimal_k_packing`` packings (n = 13..16, every k that
+divides n), on the four classes at seed 0.  A refactor that keeps every
+packing, tie-breaks included, keeps every digest.  After a deliberate
+change of output, rewrite the file with
 
     python tests/test_pinned_outputs.py --record
 """
@@ -25,12 +29,15 @@ from packgraph.cli import main  # noqa: E402
 from packgraph.fixtures import FIXTURE_IDS, get_fixture  # noqa: E402
 from packgraph.graph import generate_instance  # noqa: E402
 from packgraph.oracles import ALGORITHMS, optimal_k_packing, run_algorithm  # noqa: E402
+from packgraph.tsp import EXACT_TSP_CAP, exact_max_tsp  # noqa: E402
 
 PINNED = Path(__file__).resolve().parent / "data" / "pinned_outputs.json"
 CLASSES = ("general", "metric", "zero_one", "one_two")
 SEEDS = range(3)
 MAX_N = 12
 MAX_K = 8
+LARGE_TOUR_N = range(13, EXACT_TSP_CAP + 1)
+LARGE_ORACLE_N = range(13, 17)
 BENCH = ("bench", "--k", "4", "--class", "one_two", "--n", "8", "--count", "3",
          "--algos", "alg1,alg2,alg4,alg5,kpp-combined,alg6,alg7,alg8,general4pp,reduce12")
 
@@ -89,6 +96,17 @@ def compute() -> dict:
             for k in range(low, MAX_K + 1):
                 packings = [_blocks(optimal_k_packing(g, k, kind)[0]) for g in _instances(k)]
                 digests[f"optimal_k_packing {kind} k={k}"] = _digest(packings)
+        for n in LARGE_TOUR_N:
+            tours = [list(exact_max_tsp(generate_instance(n, klass, seed=0)).order)
+                     for klass in CLASSES]
+            digests[f"exact_max_tsp n={n}"] = _digest(tours)
+        for n in LARGE_ORACLE_N:
+            graphs = [generate_instance(n, klass, seed=0) for klass in CLASSES]
+            for kind, low in (("cycle", 3), ("path", 2)):
+                for k in range(low, n + 1):
+                    if n % k == 0:
+                        packings = [_blocks(optimal_k_packing(g, k, kind)[0]) for g in graphs]
+                        digests[f"optimal_k_packing {kind} n={n} k={k}"] = _digest(packings)
         for argv in list(_solve_argvs()) + [BENCH]:
             digests[" ".join(argv)] = _digest(_cli(argv))
     return digests

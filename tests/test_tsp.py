@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from packgraph.oracles import (
     optimal_k_packing,
 )
 from packgraph.tsp import (
+    _STEP_BUDGET,
     _held_karp,
     _popcount_rank,
     exact_max_tsp,
@@ -115,10 +117,7 @@ def _kernel_inputs(draw):
     return w, first, draw(st.integers(1, m)), draw(st.booleans()), dtype
 
 
-@given(_kernel_inputs())
-@settings(max_examples=200, deadline=None)
-def test_held_karp_matches_a_dict_reference(case):
-    w, first, top, anchored, dtype = case
+def _assert_kernel_matches_the_reference(w, first, top, anchored, dtype):
     m = len(first)
     layers = list(_held_karp(np.array(w), np.array(first), top, anchored))
     reference = _reference_held_karp(w, first, top, anchored)
@@ -129,9 +128,35 @@ def test_held_karp_matches_a_dict_reference(case):
         masks = [S for S in range(1 << m) if bin(S).count("1") == c]
         assert dp.shape == (m, len(masks))
         unset = np.iinfo(dp.dtype).min
+        got = dp.tolist()
         for S in masks:
             for j in range(m):
-                assert dp[j, rank[S]] == ref.get((S, j), unset), (c, S, j)
+                assert got[j][rank[S]] == ref.get((S, j), unset), (c, S, j)
+
+
+@given(_kernel_inputs())
+@settings(max_examples=200, deadline=None)
+def test_held_karp_matches_a_dict_reference(case):
+    _assert_kernel_matches_the_reference(*case)
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_held_karp_steps_split_into_row_runs_match_the_reference(dtype, anchored):
+    # at m = 13 the last layer's steps span fewer rows than its 13 path ends,
+    # and the last run is shorter than the others
+    m, top = 13, 7
+    rows = _STEP_BUDGET // (m * comb(m, top - 1))
+    assert 1 < rows < m and m % rows != 0
+    heaviest = int(np.iinfo(np.int16).max) // (m + 1)
+    if dtype == np.int64:
+        heaviest = int(np.iinfo(np.int32).max) // (m + 1) + 1
+    rng = np.random.default_rng(top)
+    w = rng.integers(0, heaviest + 1, size=(m, m))
+    np.fill_diagonal(w, 0)
+    w[0, m - 1] = heaviest
+    first = rng.integers(0, heaviest + 1, size=m)
+    _assert_kernel_matches_the_reference(w.tolist(), first.tolist(), top, anchored, dtype)
 
 
 _INT16_MAX = int(np.iinfo(np.int16).max)
