@@ -1,0 +1,124 @@
+"""Alternating pairs of benchmark runs on two checkouts.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_11.json \\
+        [--workloads audit-small tour-scale ...] [--pairs 10] [--seed 300] \\
+        [--seconds 25]
+
+PARENT and CHANGE are checkouts of the repository.  Pair i runs
+``perfbench/run.py --workload W --seed SEED+i`` once in each, the parent
+first in even pairs and the change first in odd ones, so that a drift of
+the machine falls on both sides alike.  The metrics and their direction
+come from CHANGE's ``BENCHMARK.json``.
+
+Writes a JSON file with the machine (cores, Python, numpy), the two commits
+and, per workload and end-to-end metric, each side's median [Q1, Q3] over
+the pairs, the ratio of the medians and the pairs the change wins; a run
+that fails any operation is counted.  Each run writes a new file, rewritten
+after every workload.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The last stdout line of one benchmark run: its metrics and failures."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=False,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{checkout}: no output\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def commit(checkout: Path) -> str:
+    """HEAD of the checkout, marked ``+worktree`` when its files differ."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True, check=False).stdout.strip()
+
+    head = git("rev-parse", "HEAD") or "unknown"
+    return head + ("+worktree" if git("status", "--porcelain", "--untracked-files=no") else "")
+
+
+def quartiles(values: list) -> list:
+    """[median, Q1, Q3], to 4 significant digits."""
+    qs = [values[0]] * 3 if len(values) == 1 else statistics.quantiles(values, n=4, method="inclusive")
+    return [float(f"{q:.4g}") for q in (qs[1], qs[0], qs[2])]
+
+
+def summarize(runs: list, metrics: list) -> dict:
+    """Per metric: each side's [median, Q1, Q3], the ratio of the medians
+    (change / parent) and the pairs the change wins."""
+    out = {}
+    for m in metrics:
+        name = m["name"]
+        side = {s: [r[s]["metrics"][name]["value"] for r in runs] for s in ("parent", "change")}
+        higher = m["better"] == "higher"
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(side["parent"], side["change"]))
+        par, chg = quartiles(side["parent"]), quartiles(side["change"])
+        out[name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "parent": par,
+            "change": chg,
+            "ratio": float(f"{chg[0] / par[0]:.4g}") if par[0] else None,
+            "wins": wins,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--workloads", nargs="+", default=None)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=300)
+    ap.add_argument("--seconds", type=float, default=25.0)
+    args = ap.parse_args(argv)
+
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    import numpy
+
+    report = {
+        "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": numpy.__version__},
+        "commits": {"parent": commit(args.parent), "change": commit(args.change)},
+        "workloads": {},
+    }
+    for w in workloads:
+        runs = []
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {s: run_once(getattr(args, s), w, seed, args.seconds) for s in order}
+            runs.append(pair)
+            print(w, seed, {s: round(pair[s]["metrics"]["ops_per_s"]["value"], 2) for s in order},
+                  file=sys.stderr, flush=True)
+        report["workloads"][w] = {
+            "pairs": args.pairs,
+            "seeds": [args.seed, args.seed + args.pairs - 1],
+            "seconds": args.seconds,
+            "failed_runs": {s: sum(not r[s]["correct"] for r in runs) for s in ("parent", "change")},
+            "metrics": summarize(runs, bench["end_to_end"]),
+        }
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -69,7 +69,7 @@ class EdgeGroupPlan:
         return make_matching(e for grp in self.groups for e in grp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEntry:
     """One inequality lhs >= rhs (or equality when ``equality`` is set)."""
 

@@ -99,13 +99,13 @@ def make_matching(edges: Iterable[Sequence[int]]) -> Matching:
     return Matching(tuple(sorted(tuple(sorted(e)) for e in edges)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KPathPacking:
     k: int
     paths: tuple  # n/k ordered vertex tuples, each of length k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KCyclePacking:
     k: int
     cycles: tuple  # n/k cyclic vertex tuples, each of length k

@@ -7,9 +7,10 @@ k-path weight of every k-subset at once.  A partition DP then combines these
 blocks, one popcount layer at a time, each block taking the lowest vertex
 not yet covered so that no partition is counted twice.  So after r blocks
 no vertex below r is left, and the DP fills only the sets that can be left:
-of popcount p, those with no vertex below (n - p) / k.  The vertex order of
-each chosen block is walked back from the kernel's layers.  Everything is
-exact integer arithmetic; ratios are reported as Fractions.
+of popcount p, those with no vertex below (n - p) / k.  Its index tables
+depend only on (n, k) and come from the memo of ``tsp``.  The vertex order
+of each chosen block is walked back from the kernel's layers.  Everything
+is exact integer arithmetic; ratios are reported as Fractions.
 
 ``ALGORITHMS`` lists the ``AlgorithmSpec`` of every algorithm: those of
 ``cycle_packing`` and ``path_packing``, defined next to their helpers, and
@@ -46,7 +47,7 @@ from .graph import (
     validate_packing,
 )
 from .matching import max_weight_perfect_matching  # noqa: F401  (re-exported)
-from .tsp import _held_karp, _masks_by_popcount, _popcount_rank, exact_max_tsp
+from .tsp import _MEMO, _held_karp, _masks_by_popcount, _popcount_rank, exact_max_tsp
 
 
 def _require_block(k: int, kind: str) -> None:
@@ -131,20 +132,42 @@ def _block_columns(p: int, k: int) -> np.ndarray:
     return np.array(cols, dtype=np.int64).reshape(-1, k - 1)
 
 
-def _best_blocks(masks: np.ndarray, p: int, k: int, n: int, f, bw):
-    """For each mask of popcount p: the best f[mask ^ B] + bw[B] over the
-    blocks B made of the mask's lowest vertex and k-1 of its other vertices,
-    the first maximum in combinations order.  Returns (values, blocks)."""
-    bits = masks[:, None] & (1 << np.arange(n, dtype=np.int64))
-    bits = bits[bits != 0].reshape(masks.size, p)  # each mask's vertices as bits, ascending
+def _blocks_of(bits: np.ndarray, k: int) -> np.ndarray:
+    """The blocks of masks of popcount p, given as ``bits``, the (p, masks)
+    array whose row t holds each mask's t-th lowest bit: column i lists the
+    blocks made of the lowest vertex of mask i and k-1 of its other
+    vertices, in combinations order."""
+    p = bits.shape[0]
     cols = _block_columns(p, k)
-    blocks = bits[:, :1]
-    for t in range(k - 1):
-        blocks = blocks | bits[:, cols[:, t]]
-    vals = f[masks[:, None] ^ blocks] + bw[blocks]
-    best = vals.argmax(axis=1)
-    at = np.arange(masks.size)
-    return vals[at, best], blocks[at, best]
+    blocks = bits[cols[:, 0]] | bits[0]
+    for t in range(1, k - 1):
+        blocks |= bits[cols[:, t]]
+    return blocks
+
+
+def _partition_tables(n: int, k: int):
+    """The index tables of the partition DP on n vertices with blocks of k.
+
+    Yields (p, at, rest, block) per chunk of the masks of popcount p that
+    the full set reaches, the p-subsets of {r, ..., n-1}, r = (n - p) / k:
+    ``at`` holds the masks' popcount ranks and column i of ``rest`` and
+    ``block`` the ranks of M - B and B for the blocks B of the i-th mask M.
+    """
+    layers, rank = _masks_by_popcount(n), _popcount_rank(n)
+    for p in range(k, n + 1, k):
+        # r = (n - p) / k blocks before have taken every vertex below r
+        low = (1 << (n - p) // k) - 1
+        masks = layers[p][(layers[p] & low) == 0]
+        step = max(1, _CHUNK // max(comb(p - 1, k - 1), n))
+        for s in range(0, masks.size, step):
+            chunk = masks[s : s + step]
+            bits = np.empty((p, chunk.size), dtype=np.int64)  # row t: each mask's t-th lowest bit
+            left = chunk.copy()
+            for t in range(p):
+                np.bitwise_and(left, -left, out=bits[t])
+                left ^= bits[t]
+            blocks = _blocks_of(bits, k)
+            yield p, rank[chunk], rank[chunk ^ blocks], rank[blocks]
 
 
 def optimal_k_packing(
@@ -162,6 +185,11 @@ def optimal_k_packing(
     what is left lies above them.  f[M] reads only f[M - B] for a block B
     with min(M), a set of the same kind, so the values, and the packing
     walked back from the full set, are those of the DP over every set.
+
+    The DP runs on vectors indexed by popcount rank: f[M] for each layer,
+    bw[B] for the k-sets.  The ranks it gathers from depend only on (n, k)
+    and come from the memo of ``tsp``.  The blocks are walked back from the
+    full set, each the first maximum in combinations order.
     """
     n = g.n
     require_divisible(n, k)
@@ -171,34 +199,40 @@ def optimal_k_packing(
     _require_block(k, kind)
     w = g.w.astype(np.int64)
     dps = list(_held_karp(w, np.zeros(n, dtype=np.int64), k, kind == "cycle"))
-    layers = _masks_by_popcount(n)
     rank = _popcount_rank(n)
-    # bw[mask]: the best k-cycle (closed at the lowest vertex, where each
-    # path starts; rank[1 << v] = v) or k-path weight of each k-subset mask
-    masks = layers[k]
-    ends = dps[-1] + w[:, rank[masks & -masks]] if kind == "cycle" else dps[-1]
-    bw = np.zeros(1 << n, dtype=np.int64)
-    bw[masks] = ends.max(axis=0)
-    f = np.zeros(1 << n, dtype=np.int64)  # f[mask]: best packing of mask, where reached
-    for p in range(k, n + 1, k):
-        # r = (n - p) / k blocks before have taken every vertex below r
-        low = (1 << (n - p) // k) - 1
-        masks = layers[p][(layers[p] & low) == 0]
-        step = max(1, _CHUNK // max(comb(p - 1, k - 1), n))
-        for s in range(0, masks.size, step):
-            chunk = masks[s : s + step]
-            f[chunk] = _best_blocks(chunk, p, k, n, f, bw)[0]
+    # bw[rank[B]]: the best k-cycle (closed at the lowest vertex, where each
+    # path starts; rank[1 << v] = v) or k-path weight of each k-set B
+    top = dps[-1]
+    if kind == "cycle":
+        masks = _masks_by_popcount(n)[k]
+        top = top + w[:, rank[masks & -masks]]
+    bw = top.max(axis=0)
+    # f[p // k][rank[M]]: the best packing of the p-set M, where reached
+    f = [np.zeros(1, dtype=np.int64)]
+    # the tables' bytes: per reached set, its rank and two per block
+    reach = [(p, comb(n - (n - p) // k, p)) for p in range(k, n + 1, k)]
+    nbytes = 8 * sum(c * (1 + 2 * comb(p - 1, k - 1)) for p, c in reach)
+    for p, at, rest, block in _MEMO.tables(
+        ("partition", n, k), nbytes, lambda: _partition_tables(n, k)
+    ):
+        if len(f) == p // k:
+            f.append(np.zeros(comb(n, p), dtype=np.int64))
+        vals = f[-2][rest]
+        vals += bw[block]
+        f[-1][at] = vals.max(axis=0)
     blocks = []
     mask = (1 << n) - 1
     for p in range(n, 0, -k):
-        _, (block,) = _best_blocks(np.array([mask], dtype=np.int64), p, k, n, f, bw)
-        blocks.append(tuple(_walk(dps, rank, w, int(block), kind)[0]))
-        mask ^= int(block)
+        bits = np.array([[1 << v] for v in range(n) if mask >> v & 1], dtype=np.int64)
+        cands = _blocks_of(bits, k)[:, 0]
+        block = int(cands[(f[p // k - 1][rank[mask ^ cands]] + bw[rank[cands]]).argmax()])
+        blocks.append(tuple(_walk(dps, rank, w, block, kind)[0]))
+        mask ^= block
     if kind == "cycle":
         packing = KCyclePacking(k=k, cycles=tuple(blocks))
     else:
         packing = KPathPacking(k=k, paths=tuple(blocks))
-    return packing, int(f[-1])
+    return packing, int(f[-1][0])
 
 
 def brute_force_optimal_packing(
@@ -236,7 +270,7 @@ def brute_force_optimal_packing(
 # the registry, ratio reports and lemma audits
 
 
-@dataclass
+@dataclass(slots=True)
 class RatioReport:
     instance_id: str
     algorithm: str

@@ -15,6 +15,7 @@ with it plugged in.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
 from math import comb
 
@@ -34,6 +35,49 @@ EXACT_TSP_CAP = 18
 # the most entries the sums of one Held-Karp step take (unless one row of
 # sums is larger): a layer whose path ends do not fit takes several steps
 _STEP_BUDGET = 1 << 18
+# bytes of index tables the memo keeps: the kernel's step masks and the
+# partition DP's block ranks of the shapes called most recently
+_MEMO_BYTES = 4 << 20
+
+
+class _Memo:
+    """A least-recently-used memo of the index tables of a DP shape, which
+    counts the bytes it keeps.
+
+    ``tables(key, nbytes, build)`` returns what the generator ``build()``
+    yields for the shape ``key``, tuples holding arrays, which the caller
+    predicts to take ``nbytes``.  Tables predicted to take at most an
+    eighth of the budget are kept as a list, evicting the least recently
+    used until the bytes of the arrays kept fit, so that one large shape
+    cannot flush the others.  Larger ones are never kept: the generator
+    itself is returned, and builds them chunk by chunk as the caller reads
+    it.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries: OrderedDict = OrderedDict()  # key -> (nbytes, tables)
+        self.nbytes = 0
+        self.misses = 0
+
+    def tables(self, key, nbytes: int, build):
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+            return entry[1]
+        self.misses += 1
+        if 8 * nbytes > self.budget:
+            return build()
+        tables = list(build())
+        kept = sum(a.nbytes for chunk in tables for a in chunk if isinstance(a, np.ndarray))
+        self.entries[key] = (kept, tables)
+        self.nbytes += kept
+        while self.nbytes > self.budget:
+            self.nbytes -= self.entries.popitem(last=False)[1][0]
+        return tables
+
+
+_MEMO = _Memo(_MEMO_BYTES)
 
 
 @lru_cache(maxsize=8)
@@ -52,6 +96,35 @@ def _popcount_rank(m: int) -> np.ndarray:
     for masks in _masks_by_popcount(m):
         rank[masks] = np.arange(masks.size)
     return rank
+
+
+def _step_masks(m: int, top: int, anchored: bool):
+    """For each step c = 2..top of the kernel on m vertices: (sources, ends),
+    the (m, C(m, c - 1)) and (m, C(m, c)) boolean tables whose row j holds
+    the masks of layer c - 1 that j extends, those without j (anchored: with
+    a vertex below j), and the masks of layer c that end at j.  Each layer's
+    membership tests are computed once and give the next step's sources.
+    """
+    layers = _masks_by_popcount(m)
+    bits = 1 << np.arange(m, dtype=np.int32)[:, None]
+
+    def tests(c):
+        # row j of layer c: the masks S that end at j, j in S (anchored: and
+        # j above the start min(S)), and, anchored, the masks with j above
+        # min(S); int32 holds the masks (the 2^m of them are listed, so
+        # m < 31) and halves the (m, C(m, c)) temporaries
+        masks = layers[c].astype(np.int32)
+        has = (masks & bits) != 0
+        if not anchored:
+            return has, None
+        above = (masks & -masks) < bits
+        return has & above, above
+
+    ends, above = tests(1)
+    for c in range(2, top + 1):
+        sources = ~ends if above is None else above ^ ends
+        ends, above = tests(c)
+        yield sources, ends
 
 
 def _step_rows(size: int, m: int) -> int:
@@ -76,9 +149,10 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
     A step extends each column of layer c - 1 by the edge to j, a max over
     the m contiguous rows, and keeps the masks without j (anchored: with a
     vertex below j).  Removing bit j keeps masks in order, so these are, in
-    order, the sources of the masks of layer c that end at j.  The masks
-    that end at each j are found once per layer, and the sources of the
-    next layer's steps from them.
+    order, the sources of the masks of layer c that end at j.  These tables
+    of sources and ends (``_step_masks``) depend only on (m, top, anchored):
+    they come from the memo, built once per shape where they fit its budget
+    and layer by layer on every call where they do not.
 
     One step serves a run of ends j at once: it adds the edges into them to
     the whole layer, takes the max over the source axis, and assigns the
@@ -96,34 +170,16 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
     dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
     unset = np.iinfo(dtype).min
     wt = w.T.astype(dtype)  # wt[j, i] = w[i, j], the edge into the end j
-    layers = _masks_by_popcount(m)
-    bits = 1 << np.arange(m, dtype=np.int32)[:, None]
     dp = np.full((m, m), unset, dtype=dtype)
     np.fill_diagonal(dp, first)  # layer 1 lists 1 << v at column v
     yield dp
     # one buffer for the sums of every step, sized for the largest
     sizes = [m * comb(m, c) for c in range(1, top)]  # the layers the steps read
     buf = np.empty(max([_step_rows(s, m) * s for s in sizes], default=0), dtype=dtype)
-
-    def tests(c):
-        # row j of layer c: the masks S that end at j, j in S (anchored: and
-        # j above the start min(S)), and, anchored, the masks with j above
-        # min(S); int32 holds the masks (the 2^m of them are listed, so
-        # m < 31) and halves the (m, C(m, c)) temporaries
-        masks = layers[c].astype(np.int32)
-        has = (masks & bits) != 0
-        if not anchored:
-            return has, None
-        above = (masks & -masks) < bits
-        return has & above, above
-
-    ends, above = tests(1)
-    for c in range(2, top + 1):
-        # row j: the masks of layer c - 1 that j extends, those without j
-        # (anchored: with a vertex below j), and the masks of layer c that
-        # end at j
-        sources = ~ends if above is None else above ^ ends
-        ends, above = tests(c)
+    nbytes = sum(m * comb(m + 1, c) for c in range(2, top + 1))  # C(m, c-1) + C(m, c)
+    for sources, ends in _MEMO.tables(
+        ("held_karp", m, top, anchored), nbytes, lambda: _step_masks(m, top, anchored)
+    ):
         nxt = np.full(ends.shape, unset, dtype=dtype)
         rows = _step_rows(dp.size, m)
         for j in range(0, m, rows):

@@ -1,14 +1,16 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_matrix, uniform_graph
 from packgraph.fixtures import get_fixture
 from packgraph.graph import (
+    KCyclePacking,
+    KPathPacking,
     cycle_weight,
     generate_instance,
     packing_weight,
@@ -23,7 +25,7 @@ from packgraph.oracles import (
     optimal_k_packing,
     run_algorithm,
 )
-from packgraph.tsp import exact_max_tsp
+from packgraph.tsp import _held_karp, exact_max_tsp
 
 
 def test_best_k_tour_triangle_path_drops_lightest():
@@ -113,6 +115,69 @@ def test_oracle_matches_brute_force_property(data):
     assert w == best
     assert validate_packing(g, packing, k, kind) is None
     assert packing_weight(g, packing) == best
+
+
+def _full_table_packing(g, k, kind):
+    """The partition DP over full 2^n tables: bw[B] for every k-set B, f[M]
+    for every set M whose popcount k divides, each the first maximum over
+    the blocks of M (min(M) and k-1 of its others) in combinations order,
+    walked back from the full set.  Returns (packing, weight)."""
+    n = g.n
+    w = g.w.astype(np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
+    popcount = np.array([bin(M).count("1") for M in range(1 << n)])
+    top = list(_held_karp(w, np.zeros(n, dtype=np.int64), k, kind == "cycle"))[-1]
+    sets = masks[popcount == k]
+    if kind == "cycle":
+        top = top + w[:, [(int(B) & -int(B)).bit_length() - 1 for B in sets]]
+    bw = np.zeros(1 << n, dtype=np.int64)
+    bw[sets] = top.max(axis=0)
+
+    def blocks(M):  # an (len(M), C(p-1, k-1)) array, M of popcount p
+        bits = M[:, None] & (1 << np.arange(n, dtype=np.int64))
+        bits = bits[bits != 0].reshape(M.size, -1)
+        cols = list(combinations(range(1, bits.shape[1]), k - 1))
+        return bits[:, :1] | np.array([bits[:, c].sum(axis=1) for c in cols]).T
+
+    f = np.zeros(1 << n, dtype=np.int64)
+    for p in range(k, n + 1, k):
+        M = masks[popcount == p]
+        B = blocks(M)
+        f[M] = (f[M[:, None] ^ B] + bw[B]).max(axis=1)
+    packed, left = [], np.array([(1 << n) - 1], dtype=np.int64)
+    while left[0]:
+        B = blocks(left)[0]
+        block = int(B[(f[left[0] ^ B] + bw[B]).argmax()])
+        verts = [v for v in range(n) if block >> v & 1]
+        packed.append(best_k_tour_on_set(g, verts, kind)[0])
+        left = left ^ block
+    if kind == "cycle":
+        return KCyclePacking(k=k, cycles=tuple(packed)), int(f[-1])
+    return KPathPacking(k=k, paths=tuple(packed)), int(f[-1])
+
+
+_ADMISSIBLE = [
+    (n, k, kind)
+    for n in range(3, 13)
+    for kind in ("cycle", "path")
+    for k in range(3 if kind == "cycle" else 2, n + 1)
+    if n % k == 0
+]
+
+
+@pytest.mark.parametrize("n, k, kind", _ADMISSIBLE)
+@settings(max_examples=5, deadline=None)
+@given(
+    klass=st.sampled_from(["general", "metric", "zero_one", "one_two"]),
+    seed=st.integers(0, 10**6),
+)
+@example(klass="zero_one", seed=0)
+def test_oracle_matches_the_full_table_dp(n, k, kind, klass, seed):
+    # the same weights and the same packings, block order, vertex order and
+    # ties included ({0,1} weights tie the most), as the DP over every set
+    g = generate_instance(n, klass, seed=seed)
+    expected = _full_table_packing(g, k, kind)
+    assert optimal_k_packing(g, k, kind) == expected
 
 
 @pytest.mark.parametrize("k, kind", [(1, "path"), (2, "cycle"), (1, "cycle")])

@@ -19,11 +19,14 @@ from packgraph.graph import (
 )
 from packgraph.matching import max_weight_perfect_matching
 from packgraph.oracles import (
+    audit_instance,
     best_k_tour_on_set,
     brute_force_optimal_packing,
     optimal_k_packing,
 )
 from packgraph.tsp import (
+    _MEMO,
+    _Memo,
     _STEP_BUDGET,
     _held_karp,
     _popcount_rank,
@@ -157,6 +160,71 @@ def test_held_karp_steps_split_into_row_runs_match_the_reference(dtype, anchored
     w[0, m - 1] = heaviest
     first = rng.integers(0, heaviest + 1, size=m)
     _assert_kernel_matches_the_reference(w.tolist(), first.tolist(), top, anchored, dtype)
+
+
+def _kept_bytes():
+    """The bytes of the arrays the memo keeps, counted from the arrays."""
+    return sum(
+        a.nbytes
+        for _, tables in _MEMO.entries.values()
+        for chunk in tables
+        for a in chunk
+        if isinstance(a, np.ndarray)
+    )
+
+
+def test_memo_keeps_within_its_budget():
+    # n = 16 at every k, then a tour at m = 17: the shapes above an eighth of
+    # the budget are built per call and never kept
+    for kind, ks in (("path", (2, 4, 8, 16)), ("cycle", (4, 8, 16))):
+        for k in ks:
+            optimal_k_packing(generate_instance(16, "metric", seed=k), k, kind)
+            assert _kept_bytes() == _MEMO.nbytes <= _MEMO.budget
+            assert ("partition", 16, 4) not in _MEMO.entries
+    exact_max_tsp(generate_instance(18, "metric", seed=0))
+    assert _kept_bytes() == _MEMO.nbytes <= _MEMO.budget
+    assert ("held_karp", 17, 17, False) not in _MEMO.entries
+
+
+def test_memo_evicts_the_least_recently_used():
+    memo = _Memo(budget=800)
+
+    def build(size):
+        return lambda: iter([(np.zeros(size, dtype=np.uint8),)])
+
+    for key in "abc":
+        memo.tables(key, 100, build(100))
+    memo.tables("a", 100, build(100))  # a hit: "b" is now the oldest
+    for key in "defghi":
+        memo.tables(key, 100, build(100))
+    assert list(memo.entries) == ["c", "a", "d", "e", "f", "g", "h", "i"]
+    assert memo.nbytes == 800 and memo.misses == 9
+    # above an eighth of the budget: built on each call, nothing evicted
+    assert not isinstance(memo.tables("big", 101, build(101)), list)
+    assert "big" not in memo.entries and memo.nbytes == 800 and memo.misses == 10
+
+
+# the audit-small shapes of perfbench: (algorithm, k, weight class, n)
+_AUDIT_SHAPES = [
+    ("alg1", 7, "metric", 14), ("alg2", 6, "metric", 12),
+    ("kpp-combined", 6, "metric", 12), ("alg3", 5, "metric", 10),
+    ("alg6", 4, "general", 8), ("alg6", 4, "general", 12),
+    ("alg7", 4, "metric", 8), ("alg7", 4, "metric", 12),
+    ("alg7", 4, "one_two", 8), ("alg7", 4, "one_two", 12),
+    ("alg8", 4, "metric", 8), ("alg8", 4, "metric", 12),
+    ("3cp911", 3, "one_two", 9), ("3cp911", 3, "one_two", 12),
+]
+
+
+def test_memo_serves_a_second_audit_sweep_without_misses():
+    def sweep(seed):
+        for algo, k, klass, n in _AUDIT_SHAPES:
+            audit_instance(generate_instance(n, klass, seed=seed), k, [algo])
+
+    sweep(0)
+    misses = _MEMO.misses
+    sweep(1)
+    assert _MEMO.misses == misses
 
 
 _INT16_MAX = int(np.iinfo(np.int16).max)
