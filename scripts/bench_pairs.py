@@ -10,11 +10,12 @@ first in even pairs and the change first in odd ones, so that a drift of
 the machine falls on both sides alike.  The metrics and their direction
 come from CHANGE's ``BENCHMARK.json``.
 
-Writes a JSON file with the machine (cores, Python, numpy), the two commits
-and, per workload and end-to-end metric, each side's median [Q1, Q3] over
-the pairs, the ratio of the medians and the pairs the change wins; a run
-that fails any operation is counted.  Each run writes a new file, rewritten
-after every workload.
+Writes a JSON file with the machine (cores, Python, numpy), the two commits,
+one run of the tier-1 tests per checkout (its wall time and pytest's last
+line) and, per workload and end-to-end metric, each side's median [Q1, Q3]
+over the pairs, the ratio of the medians and the pairs the change wins; a
+run that fails any operation is counted.  Each run writes a new file,
+rewritten after every workload.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 
@@ -40,6 +42,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if not lines:
         raise RuntimeError(f"{checkout}: no output\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def tier1(checkout: Path) -> dict:
+    """One run of the checkout's tier-1 tests: wall seconds and pytest's last line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=checkout, env=env, capture_output=True, text=True, check=False,
+    )
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": round(wall, 2), "summary": lines[-1] if lines else proc.stderr[-500:]}
 
 
 def commit(checkout: Path) -> str:
@@ -98,6 +114,7 @@ def main(argv=None) -> int:
         "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__},
         "commits": {"parent": commit(args.parent), "change": commit(args.change)},
+        "tier1": {s: tier1(getattr(args, s)) for s in ("parent", "change")},
         "workloads": {},
     }
     for w in workloads:

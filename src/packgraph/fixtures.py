@@ -232,7 +232,8 @@ def run_fixture_checks(fixture_id: str, packing=None) -> list:
     if fx.id == "fig2_5cp":
         check("matching_weight", matching_weight(g, max_weight_matching_of_size(g, 10)))
         check("alg_weight", packing_weight(g, packing))
-        # full n=25 DP is out of cap; verify the row decomposition instead
+        # the full n=25 DP does not fit the memory budget; verify the row
+        # decomposition instead
         rows_ok = True
         row_w = None
         for i in range(5):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import comb
 from typing import Optional, Sequence
 
@@ -47,7 +47,18 @@ from .graph import (
     validate_packing,
 )
 from .matching import max_weight_perfect_matching  # noqa: F401  (re-exported)
-from .tsp import _MEMO, _held_karp, _masks_by_popcount, _popcount_rank, exact_max_tsp
+from .tsp import (  # noqa: F401  (OracleCapError re-exported)
+    _MEMO,
+    OracleCapError,
+    _chunk_size,
+    _footprint,
+    _held_karp,
+    _masks_by_popcount,
+    _popcount_rank,
+    _require_fit,
+    _tour_footprint,
+    exact_max_tsp,
+)
 
 
 def _require_block(k: int, kind: str) -> None:
@@ -109,27 +120,17 @@ def best_k_tour_on_set(
     k = len(S)
     _require_block(k, kind)
     w = g.w[np.ix_(S, S)].astype(np.int64)
+    _require_fit(_footprint(k, k, int(w.max())), f"the exact {k}-{kind} on a set")
     dps = list(_held_karp(w, np.zeros(k, dtype=np.int64), k, kind == "cycle"))
     order, weight = _walk(dps, _popcount_rank(k), w, (1 << k) - 1, kind)
     return tuple(int(S[i]) for i in order), weight
 
 
-def _default_cap(k: int) -> int:
-    return 15 if k in (3, 5) else 16
-
-
-class OracleCapError(ValueError):
-    """The instance is larger than the exact oracle solves."""
-
-
-_CHUNK = 1 << 16  # entries per temporary array of the partition DP
-
-
 @lru_cache(maxsize=64)
 def _block_columns(p: int, k: int) -> np.ndarray:
     """The (k-1)-subsets of the positions 1..p-1, in combinations order."""
-    cols = list(combinations(range(1, p), k - 1))
-    return np.array(cols, dtype=np.int64).reshape(-1, k - 1)
+    cols = chain.from_iterable(combinations(range(1, p), k - 1))
+    return np.fromiter(cols, dtype=np.int64, count=comb(p - 1, k - 1) * (k - 1)).reshape(-1, k - 1)
 
 
 def _blocks_of(bits: np.ndarray, k: int) -> np.ndarray:
@@ -158,7 +159,7 @@ def _partition_tables(n: int, k: int):
         # r = (n - p) / k blocks before have taken every vertex below r
         low = (1 << (n - p) // k) - 1
         masks = layers[p][(layers[p] & low) == 0]
-        step = max(1, _CHUNK // max(comb(p - 1, k - 1), n))
+        step = _chunk_size(n, k, p)
         for s in range(0, masks.size, step):
             chunk = masks[s : s + step]
             bits = np.empty((p, chunk.size), dtype=np.int64)  # row t: each mask's t-th lowest bit
@@ -168,6 +169,17 @@ def _partition_tables(n: int, k: int):
                 left ^= bits[t]
             blocks = _blocks_of(bits, k)
             yield p, rank[chunk], rank[chunk ^ blocks], rank[blocks]
+
+
+def _require_packing_fit(g: WeightedCompleteGraph, k: int, kind: str):
+    """The allocations of ``optimal_k_packing(g, k, kind)``.  ValueError
+    where k does not divide n or makes no block of the kind, OracleCapError
+    where they do not fit the memory budget."""
+    require_divisible(g.n, k)
+    _require_block(k, kind)
+    fp = _footprint(g.n, k, int(g.w.max()), partition=True)
+    _require_fit(fp, f"the exact {k}-{kind} packing on n={g.n}")
+    return fp
 
 
 def optimal_k_packing(
@@ -190,30 +202,29 @@ def optimal_k_packing(
     bw[B] for the k-sets.  The ranks it gathers from depend only on (n, k)
     and come from the memo of ``tsp``.  The blocks are walked back from the
     full set, each the first maximum in combinations order.
+
+    Raises OracleCapError, before allocating, where the call's memory
+    estimate is above ``tsp.MEMORY_BUDGET`` or n is above ``max_n``.
     """
     n = g.n
-    require_divisible(n, k)
-    cap = _default_cap(k) if max_n is None else max_n
-    if n > cap:
-        raise OracleCapError(f"n={n} above oracle cap {cap} for k={k}")
-    _require_block(k, kind)
+    if max_n is not None and n > max_n:
+        raise OracleCapError(f"n={n} above max_n={max_n}")
+    fp = _require_packing_fit(g, k, kind)
     w = g.w.astype(np.int64)
     dps = list(_held_karp(w, np.zeros(n, dtype=np.int64), k, kind == "cycle"))
     rank = _popcount_rank(n)
     # bw[rank[B]]: the best k-cycle (closed at the lowest vertex, where each
-    # path starts; rank[1 << v] = v) or k-path weight of each k-set B
-    top = dps[-1]
+    # path starts; rank[1 << v] = v) or k-path weight of each k-set B, in the
+    # layers' dtype, which holds the k weights of a cycle
+    bw = dps[-1]
     if kind == "cycle":
         masks = _masks_by_popcount(n)[k]
-        top = top + w[:, rank[masks & -masks]]
-    bw = top.max(axis=0)
+        bw = bw + w.astype(bw.dtype)[:, rank[masks & -masks]]
+    bw = bw.max(axis=0)
     # f[p // k][rank[M]]: the best packing of the p-set M, where reached
     f = [np.zeros(1, dtype=np.int64)]
-    # the tables' bytes: per reached set, its rank and two per block
-    reach = [(p, comb(n - (n - p) // k, p)) for p in range(k, n + 1, k)]
-    nbytes = 8 * sum(c * (1 + 2 * comb(p - 1, k - 1)) for p, c in reach)
     for p, at, rest, block in _MEMO.tables(
-        ("partition", n, k), nbytes, lambda: _partition_tables(n, k)
+        ("partition", n, k), fp.blocks, lambda: _partition_tables(n, k)
     ):
         if len(f) == p // k:
             f.append(np.zeros(comb(n, p), dtype=np.int64))
@@ -364,19 +375,25 @@ def audit_instance(
     """Run each algorithm, compare against the exact oracle, audit lemmas.
 
     The tour, M*, the size-p matchings and the optima are computed once for
-    the instance and shared by all algorithms and audits.  Each optimum is
-    computed before the algorithm runs, so an instance above the oracle's
-    cap raises OracleCapError before any algorithm has run.  An algorithm's
-    own audits are gated (``RatioReport.gated``) only on the weight classes
-    its proof covers; elsewhere they are reported but may fail.  Besides,
-    the kCP optimum is audited against the exact tour (metric classes) and
-    against M* (even k).
+    the instance and shared by all algorithms and audits.  An optimum that
+    does not fit the memory budget raises OracleCapError before anything
+    else is computed.  An algorithm's own audits are gated
+    (``RatioReport.gated``) only on the weight classes its proof covers;
+    elsewhere they are reported but may fail.  Besides, the kCP optimum is
+    audited against the exact tour (metric classes, where the tour fits the
+    budget) and against M* (even k).
     """
     specs = [algorithm_spec(name, k) for name in algorithms]
+    tour_audit = g.class_tag in METRIC and _tour_footprint(g).fits
+    kinds = {spec.kind for spec in specs}
+    if tour_audit or (k % 2 == 0 and g.n % 2 == 0):
+        kinds.add("cycle")
+    for kind in sorted(kinds):
+        _require_packing_fit(g, k, kind)
     r = Run(g, k, tsp_solver, matching_override, plan)
     optimum = cache(lambda kind: optimal_k_packing(g, k, kind)[1])
     global_audits = []
-    if g.class_tag in METRIC and g.n <= 16:
+    if tour_audit:
         hw = cycle_weight(g, r.tour(exact_max_tsp).order)
         global_audits.append(
             AuditEntry("tsp_vs_opt_kcp", F(2 * k * hw), F((2 * k - 1) * optimum("cycle")))

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,13 +32,22 @@ from .graph import (
     tilde_weight,
 )
 
-EXACT_TSP_CAP = 18
+# the most bytes one exact computation may allocate: a call whose estimate
+# (``_footprint``) is larger raises OracleCapError before it allocates
+MEMORY_BUDGET = 256 << 20
 # the most entries the sums of one Held-Karp step take (unless one row of
 # sums is larger): a layer whose path ends do not fit takes several steps
 _STEP_BUDGET = 1 << 18
+# the most entries of one temporary array of the partition DP (unless the
+# blocks of one set are more)
+_CHUNK = 1 << 16
 # bytes of index tables the memo keeps: the kernel's step masks and the
 # partition DP's block ranks of the shapes called most recently
 _MEMO_BYTES = 4 << 20
+
+
+class OracleCapError(ValueError):
+    """An exact computation estimated to take more than ``MEMORY_BUDGET``."""
 
 
 class _Memo:
@@ -60,13 +70,16 @@ class _Memo:
         self.nbytes = 0
         self.misses = 0
 
+    def keeps(self, nbytes: int) -> bool:
+        return 8 * nbytes <= self.budget
+
     def tables(self, key, nbytes: int, build):
         entry = self.entries.get(key)
         if entry is not None:
             self.entries.move_to_end(key)
             return entry[1]
         self.misses += 1
-        if 8 * nbytes > self.budget:
+        if not self.keeps(nbytes):
             return build()
         tables = list(build())
         kept = sum(a.nbytes for chunk in tables for a in chunk if isinstance(a, np.ndarray))
@@ -82,11 +95,10 @@ _MEMO = _Memo(_MEMO_BYTES)
 
 @lru_cache(maxsize=8)
 def _masks_by_popcount(m: int):
-    masks = np.arange(1 << m, dtype=np.int64)
-    pc = np.zeros(1 << m, dtype=np.int64)
-    for j in range(m):
-        pc += (masks >> j) & 1
-    return [masks[pc == c] for c in range(m + 1)]
+    pc = np.zeros(1, dtype=np.uint8)  # pc[mask]: the popcount of the mask
+    for _ in range(m):
+        pc = np.concatenate([pc, pc + 1])  # the masks with the next bit set
+    return [np.flatnonzero(pc == c) for c in range(m + 1)]
 
 
 @lru_cache(maxsize=8)
@@ -132,6 +144,93 @@ def _step_rows(size: int, m: int) -> int:
     return min(m, max(1, _STEP_BUDGET // size))
 
 
+def _chunk_size(n: int, k: int, p: int) -> int:
+    """The masks of popcount p per chunk of the partition DP's index tables
+    on n vertices with blocks of k."""
+    return max(1, _CHUNK // max(comb(p - 1, k - 1), n))
+
+
+class _Footprint(NamedTuple):
+    """What an exact computation allocates, as ``_footprint`` estimates it."""
+
+    dtype: type  # of the kernel's layers
+    sums: int  # entries of the kernel's buffer for the sums of a step
+    steps: int  # bytes of the kernel's step tables, which the memo may keep
+    blocks: int  # bytes of the partition DP's index tables, which the memo may keep
+    total: int  # bytes of the whole call
+
+    @property
+    def fits(self) -> bool:
+        return self.total <= MEMORY_BUDGET
+
+
+def _footprint(m: int, top: int, max_w: int, partition: bool = False) -> _Footprint:
+    """The allocations of the kernel on m vertices up to popcount ``top``
+    with weights up to ``max_w`` and, with ``partition``, of the oracle's
+    partition DP on m vertices with blocks of ``top`` after it.
+
+    The layers take int16 when m + 1 weights, a tour or a closed block, sum
+    to at most 2^15 - 1, int32 when they sum to at most 2^31 - 1, else
+    int64; heavier weights raise ValueError.  The no-path value plus one
+    weight then stays below every real sum.
+
+    ``total`` adds up, in bytes:
+    - the masks of m bits by popcount and their ranks, 8 bytes a mask each,
+      and 2 more that list them;
+    - the layers, in their dtype;
+    - the index tables that the memo keeps, all of them;
+    - the larger of what the kernel's steps and the partition DP take, as
+      the steps' buffer and tables are freed when the last layer is made.
+    A step takes its buffer of sums and one layer's step tables, built with
+    up to 9 bytes of int32 and boolean tables per entry of the largest
+    layer.  The partition DP takes:
+    - the block weights: the top layer and the edges that close the cycles;
+    - f, an int64 per set of each popcount p = k, 2k, ..., n, and the block
+      columns, k - 1 int64 per block of a p-set;
+    - the filter of the reached p-sets, 17 bytes per p-set, and one chunk of
+      index tables with the arrays that gather them, 64 bytes per (set,
+      block) entry.
+    """
+    bound = (m + 1) * max_w
+    if bound > _INT64_MAX:
+        raise ValueError(f"weights up to {max_w} overflow int64 sums of {m + 1} weights")
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    return _shape_footprint(m, top, dtype, partition)
+
+
+@lru_cache(maxsize=256)
+def _shape_footprint(m: int, top: int, dtype: type, partition: bool) -> _Footprint:
+    b = np.dtype(dtype).itemsize
+    size = [m * comb(m, c) for c in range(top + 1)]  # entries of layer c
+    sums = max([_step_rows(s, m) * s for s in size[1:top]], default=0)
+    steps = sum(size[c - 1] + size[c] for c in range(2, top + 1))
+    kept = steps if _MEMO.keeps(steps) else 0
+    work = b * sums + 9 * max(size)
+    blocks = 0
+    if partition:
+        n, k = m, top
+        layers = range(k, n + 1, k)
+        cols = {p: comb(p - 1, k - 1) for p in layers}  # the blocks of a p-set
+        reach = {p: comb(n - (n - p) // k, p) for p in layers}
+        # per reached set, its rank and two per block
+        blocks = 8 * sum(reach[p] * (1 + 2 * cols[p]) for p in layers)
+        kept += blocks if _MEMO.keeps(blocks) else 0
+        chunk = max(min(_chunk_size(n, k, p), reach[p]) * cols[p] for p in layers)
+        arrays = 2 * b * size[k] + 8 * sum(comb(n, p) + (k - 1) * cols[p] for p in layers)
+        work = max(work, arrays + 17 * max(comb(n, p) for p in layers) + 64 * chunk)
+    total = (18 << m) + b * sum(size) + kept + work
+    return _Footprint(dtype, sums, steps, blocks, total)
+
+
+def _require_fit(fp: _Footprint, what: str) -> None:
+    """OracleCapError, naming the estimate and the budget, unless ``fp`` fits."""
+    if not fp.fits:
+        raise OracleCapError(
+            f"{what} needs an estimated {-(-fp.total >> 20)} MB, "
+            f"above the memory budget of {MEMORY_BUDGET >> 20} MB"
+        )
+
+
 def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
     """Maximum-weight Held-Karp over the m vertices of the m x m matrix w.
 
@@ -139,12 +238,8 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
     (m, C(m, c)) array whose column rank[S], for the masks S of popcount c,
     holds dp[j, S], the heaviest path through S ending at j, where a path
     starts at some v with weight first[v] (``anchored``: at v = min(S)).
-    States with no path hold the least value of the layers' dtype.
-
-    The dtype is int16 when m + 1 weights, a tour or a closed block, sum to
-    at most 2^15 - 1, int32 when they sum to at most 2^31 - 1, else int64;
-    heavier weights raise ValueError.  The no-path value plus one weight
-    then stays below every real sum.
+    States with no path hold the least value of the layers' dtype, which
+    ``_footprint`` picks.
 
     A step extends each column of layer c - 1 by the edge to j, a max over
     the m contiguous rows, and keeps the masks without j (anchored: with a
@@ -163,24 +258,17 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
     share one buffer for the sums, allocated once per call.
     """
     m = len(first)
-    max_w = int(max(w.max(), first.max()))
-    bound = (m + 1) * max_w
-    if bound > _INT64_MAX:
-        raise ValueError(f"weights up to {max_w} overflow int64 sums of {m + 1} weights")
-    dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-    unset = np.iinfo(dtype).min
-    wt = w.T.astype(dtype)  # wt[j, i] = w[i, j], the edge into the end j
-    dp = np.full((m, m), unset, dtype=dtype)
+    fp = _footprint(m, top, int(max(w.max(), first.max())))
+    unset = np.iinfo(fp.dtype).min
+    wt = w.T.astype(fp.dtype)  # wt[j, i] = w[i, j], the edge into the end j
+    dp = np.full((m, m), unset, dtype=fp.dtype)
     np.fill_diagonal(dp, first)  # layer 1 lists 1 << v at column v
     yield dp
-    # one buffer for the sums of every step, sized for the largest
-    sizes = [m * comb(m, c) for c in range(1, top)]  # the layers the steps read
-    buf = np.empty(max([_step_rows(s, m) * s for s in sizes], default=0), dtype=dtype)
-    nbytes = sum(m * comb(m + 1, c) for c in range(2, top + 1))  # C(m, c-1) + C(m, c)
+    buf = np.empty(fp.sums, dtype=fp.dtype)
     for sources, ends in _MEMO.tables(
-        ("held_karp", m, top, anchored), nbytes, lambda: _step_masks(m, top, anchored)
+        ("held_karp", m, top, anchored), fp.steps, lambda: _step_masks(m, top, anchored)
     ):
-        nxt = np.full(ends.shape, unset, dtype=dtype)
+        nxt = np.full(ends.shape, unset, dtype=fp.dtype)
         rows = _step_rows(dp.size, m)
         for j in range(0, m, rows):
             at = ends[j : j + rows]
@@ -192,6 +280,11 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
         yield dp
 
 
+def _tour_footprint(g: WeightedCompleteGraph) -> _Footprint:
+    """The allocations of ``exact_max_tsp(g)``."""
+    return _footprint(g.n - 1, g.n - 1, int(g.w.max()))
+
+
 def exact_max_tsp(g: WeightedCompleteGraph) -> HamiltonianCycle:
     """Maximum-weight Hamiltonian cycle by dynamic programming.
 
@@ -200,8 +293,7 @@ def exact_max_tsp(g: WeightedCompleteGraph) -> HamiltonianCycle:
     each step taking the first predecessor of maximum weight.
     """
     n = g.n
-    if n > EXACT_TSP_CAP:
-        raise ValueError(f"n={n} above exact TSP cap {EXACT_TSP_CAP}")
+    _require_fit(_tour_footprint(g), f"the exact tour on n={n}")
     if n == 3:
         return HamiltonianCycle((0, 1, 2))
     m = n - 1

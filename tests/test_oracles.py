@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_matrix, uniform_graph
+from packgraph import oracles
 from packgraph.fixtures import get_fixture
 from packgraph.graph import (
     KCyclePacking,
@@ -19,6 +20,7 @@ from packgraph.graph import (
 )
 from packgraph.oracles import (
     ALGORITHMS,
+    OracleCapError,
     audit_instance,
     best_k_tour_on_set,
     brute_force_optimal_packing,
@@ -198,10 +200,13 @@ def test_oracle_refuses_weights_beyond_int64_sums():
 
 
 def test_oracle_answers_k_equal_n():
-    # a k-cycle packing with k = n is a heaviest tour
-    for klass in ("general", "metric", "zero_one", "one_two"):
-        g = generate_instance(12, klass, seed=1)
-        packing, w = optimal_k_packing(g, 12, "cycle")
+    # a k-cycle packing with k = n is a heaviest tour: an anchored block of
+    # the kernel on n vertices against an unanchored tour on n - 1, also at
+    # sizes past n = 16, where the oracle used to stop
+    cases = [(12, klass) for klass in ("general", "metric", "zero_one", "one_two")]
+    for n, klass in cases + [(n, klass) for n in (19, 20) for klass in ("metric", "general")]:
+        g = generate_instance(n, klass, seed=1)
+        packing, w = optimal_k_packing(g, n, "cycle")
         assert w == packing_weight(g, packing) == cycle_weight(g, exact_max_tsp(g).order)
     # a Hamiltonian path lies between a tour minus its lightest edge and the tour
     g = generate_instance(10, "general", seed=1)
@@ -214,14 +219,32 @@ def test_oracle_answers_k_equal_n():
 
 
 def test_oracle_caps():
+    with pytest.raises(OracleCapError):
+        optimal_k_packing(generate_instance(24, "general", seed=0), 3, "cycle")
     g = generate_instance(18, "general", seed=0)
-    with pytest.raises(ValueError):
-        optimal_k_packing(g, 3, "cycle")
     with pytest.raises(ValueError):
         brute_force_optimal_packing(g, 3, "cycle")
     g = generate_instance(10, "general", seed=0)
     with pytest.raises(ValueError):
         optimal_k_packing(g, 4, "cycle")  # 10 not divisible by 4
+
+
+def test_audit_refuses_before_running_anything(monkeypatch):
+    # n = 22, k = 11 is refused by the oracle while its tour fits the budget
+    # and, at n = 18, is audited against the optimum
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return exact_max_tsp(g)
+
+    monkeypatch.setattr(oracles, "exact_max_tsp", counted)
+    with pytest.raises(OracleCapError, match="11-cycle packing on n=22"):
+        audit_instance(generate_instance(22, "metric", seed=0), 11, ["alg1"], tsp_solver=counted)
+    assert calls == []
+    (report,) = audit_instance(generate_instance(18, "metric", seed=0), 6, ["alg1"],
+                               tsp_solver=counted)
+    assert calls == [18] and "tsp_vs_opt_kcp" in [a.name for a in report.gated]
 
 
 def test_audit_fig5_alg7():

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -19,6 +21,8 @@ from packgraph.graph import (
 )
 from packgraph.matching import max_weight_perfect_matching
 from packgraph.oracles import (
+    _block_columns,
+    _require_packing_fit,
     audit_instance,
     best_k_tour_on_set,
     brute_force_optimal_packing,
@@ -26,10 +30,14 @@ from packgraph.oracles import (
 )
 from packgraph.tsp import (
     _MEMO,
+    MEMORY_BUDGET,
+    OracleCapError,
     _Memo,
     _STEP_BUDGET,
     _held_karp,
+    _masks_by_popcount,
     _popcount_rank,
+    _tour_footprint,
     exact_max_tsp,
     split_cycle_best_offset,
     split_objective_value,
@@ -64,10 +72,61 @@ def test_exact_tsp_matches_brute_force():
         assert cycle_weight(g, exact_max_tsp(g).order) == _brute_force_tsp(g)
 
 
-def test_exact_tsp_cap():
-    g = uniform_graph(19, 1)
-    with pytest.raises(ValueError, match="above exact TSP cap 18"):
-        exact_max_tsp(g)
+def _traced_peak(call):
+    """The most bytes tracemalloc sees allocated at once during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "n, call",
+    [
+        (23, exact_max_tsp),
+        (22, lambda g: optimal_k_packing(g, 11, "path")),
+        (24, lambda g: optimal_k_packing(g, 4, "cycle")),
+    ],
+    ids=["tour-n23", "oracle-n22-k11-path", "oracle-n24-k4-cycle"],
+)
+def test_exact_dps_refuse_above_the_memory_budget_before_allocating(n, call):
+    # the first sizes refused: the tour fits at n = 22, every k at n = 21
+    g = generate_instance(n, "metric", seed=0)
+    refusals = []
+
+    def refused():
+        with pytest.raises(OracleCapError) as exc:
+            call(g)
+        refusals.append(str(exc.value))
+
+    assert _traced_peak(refused) < 1 << 20
+    budget = MEMORY_BUDGET >> 20
+    (message,) = refusals
+    estimate = re.search(rf"needs an estimated (\d+) MB, above the memory budget of {budget} MB",
+                         message)
+    assert estimate and int(estimate[1]) > budget, message
+
+
+@pytest.mark.parametrize(
+    "n, k, kind",
+    [(18, None, None), (20, None, None), (18, 6, "cycle"), (18, 9, "path"),
+     (20, 4, "cycle"), (20, 10, "path")],
+)
+def test_memory_estimate_is_within_twice_the_traced_peak(n, k, kind):
+    g = generate_instance(n, "metric", seed=0)
+    if k is None:
+        estimate = _tour_footprint(g).total
+        call = lambda: exact_max_tsp(g)  # noqa: E731
+    else:
+        estimate = _require_packing_fit(g, k, kind).total
+        call = lambda: optimal_k_packing(g, k, kind)  # noqa: E731
+    # the estimate counts the index tables the call builds when none is cached
+    for cached in (_masks_by_popcount, _popcount_rank, _block_columns):
+        cached.cache_clear()
+    peak = _traced_peak(call)
+    assert peak <= estimate <= 2 * peak
 
 
 def test_exact_tsp_refuses_weights_beyond_int64_sums():
