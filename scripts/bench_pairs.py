@@ -12,10 +12,17 @@ come from CHANGE's ``BENCHMARK.json``.
 
 Writes a JSON file with the machine (cores, Python, numpy), the two commits,
 one run of the tier-1 tests per checkout (its wall time and pytest's last
-line) and, per workload and end-to-end metric, each side's median [Q1, Q3]
-over the pairs, the ratio of the medians and the pairs the change wins; a
-run that fails any operation is counted.  Each run writes a new file,
-rewritten after every workload.
+line), a per-call table and, per workload and end-to-end metric, each
+side's median [Q1, Q3] over the pairs, the ratio of the medians and the
+pairs the change wins; a run that fails any operation is counted.  Each run
+writes a new file, rewritten after every workload.
+
+The per-call table times the exact DPs alone (``CALL_SCRIPT``) in
+``--pairs`` pairs of subprocesses, one per checkout, the parent first in
+even pairs.  Each subprocess times every call on ``CALL_REPEATS`` metric
+instances, after one call that builds the index tables the later ones find;
+the table holds each side's median [Q1, Q3] over all these times, in ms, and
+their ratio.
 """
 
 from __future__ import annotations
@@ -29,6 +36,67 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+CALL_REPEATS = 5
+
+# run in a checkout: per call, the seconds of CALL_REPEATS calls (argv[1])
+# on metric instances, after one call that builds the index tables
+CALL_SCRIPT = """
+import json, sys, time
+from packgraph.graph import generate_instance
+from packgraph.oracles import optimal_k_packing
+from packgraph.tsp import exact_max_tsp
+
+CALLS = {
+    "exact_max_tsp(n=16)": (16, exact_max_tsp),
+    "exact_max_tsp(n=18)": (18, exact_max_tsp),
+    "optimal_k_packing(n=14, k=7, cycle)": (14, lambda g: optimal_k_packing(g, 7, "cycle")),
+    "optimal_k_packing(n=12, k=4, path)": (12, lambda g: optimal_k_packing(g, 4, "path")),
+}
+out = {}
+for name, (n, call) in CALLS.items():
+    graphs = [generate_instance(n, "metric", seed=s) for s in range(int(sys.argv[1]) + 1)]
+    call(graphs[0])
+    out[name] = []
+    for g in graphs[1:]:
+        start = time.perf_counter()
+        call(g)
+        out[name].append(time.perf_counter() - start)
+print(json.dumps(out))
+"""
+
+
+def src_env() -> dict:
+    """The environment with the checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def time_calls(checkout: Path) -> dict:
+    """Seconds of each call of ``CALL_SCRIPT`` in one subprocess of the checkout."""
+    proc = subprocess.run([sys.executable, "-c", CALL_SCRIPT, str(CALL_REPEATS)],
+                          cwd=checkout, env=src_env(),
+                          capture_output=True, text=True, check=False)
+    if proc.returncode:
+        raise RuntimeError(f"{checkout}: timing the calls failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def per_call(parent: Path, change: Path, pairs: int) -> dict:
+    """Per call of ``CALL_SCRIPT``: each side's [median, Q1, Q3] in ms over
+    ``pairs`` alternating subprocesses, and the ratio of the medians."""
+    times = {"parent": {}, "change": {}}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            for name, ts in time_calls(parent if side == "parent" else change).items():
+                times[side].setdefault(name, []).extend(t * 1e3 for t in ts)
+    table = {}
+    for name in times["parent"]:
+        par, chg = quartiles(times["parent"][name]), quartiles(times["change"][name])
+        table[name] = {"parent": par, "change": chg, "ratio": float(f"{chg[0] / par[0]:.4g}")}
+    return {"pairs": pairs, "repeats": CALL_REPEATS, "unit": "ms", "calls": table}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -46,12 +114,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def tier1(checkout: Path) -> dict:
     """One run of the checkout's tier-1 tests: wall seconds and pytest's last line."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
-        cwd=checkout, env=env, capture_output=True, text=True, check=False,
+        cwd=checkout, env=src_env(), capture_output=True, text=True, check=False,
     )
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
@@ -115,6 +181,7 @@ def main(argv=None) -> int:
                     "numpy": numpy.__version__},
         "commits": {"parent": commit(args.parent), "change": commit(args.change)},
         "tier1": {s: tier1(getattr(args, s)) for s in ("parent", "change")},
+        "per_call": per_call(args.parent, args.change, args.pairs),
         "workloads": {},
     }
     for w in workloads:

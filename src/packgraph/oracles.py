@@ -114,9 +114,12 @@ def best_k_tour_on_set(
 
     Returns (order tuple, weight).  The order is the lexicographically first
     of maximum weight among the orders that start with the lower end of the
-    path (cycles: at min(S), second vertex below the last).
+    path (cycles: at min(S), second vertex below the last).  ValueError
+    unless S lists distinct vertices of g.
     """
     S = sorted(S)
+    if len(set(S)) != len(S) or not all(0 <= v < g.n for v in S):
+        raise ValueError(f"S must list distinct vertices in range({g.n}), got {S}")
     k = len(S)
     _require_block(k, kind)
     w = g.w[np.ix_(S, S)].astype(np.int64)
@@ -150,25 +153,34 @@ def _partition_tables(n: int, k: int):
     """The index tables of the partition DP on n vertices with blocks of k.
 
     Yields (p, at, rest, block) per chunk of the masks of popcount p that
-    the full set reaches, the p-subsets of {r, ..., n-1}, r = (n - p) / k:
-    ``at`` holds the masks' popcount ranks and column i of ``rest`` and
-    ``block`` the ranks of M - B and B for the blocks B of the i-th mask M.
+    the full set reaches, the p-subsets of {r, ..., n-1}, r = (n - p) / k.
+    Shifted down by r, they are the first C(n - r, p) masks of popcount p,
+    so a chunk of them is a slice ``at`` of the p-sets' vector.  Column i of
+    ``rest`` and ``block`` holds, as intp, the positions of M - B, a reached
+    set of popcount p - k, and the popcount ranks of B for the blocks B of
+    the chunk's i-th set M.
     """
     layers, rank = _masks_by_popcount(n), _popcount_rank(n)
     for p in range(k, n + 1, k):
-        # r = (n - p) / k blocks before have taken every vertex below r
-        low = (1 << (n - p) // k) - 1
-        masks = layers[p][(layers[p] & low) == 0]
+        r = (n - p) // k
+        reached = layers[p][: comb(n - r, p)]  # shifted down by r
         step = _chunk_size(n, k, p)
-        for s in range(0, masks.size, step):
-            chunk = masks[s : s + step]
+        for s in range(0, reached.size, step):
+            chunk = reached[s : s + step].astype(np.int64) << r
             bits = np.empty((p, chunk.size), dtype=np.int64)  # row t: each mask's t-th lowest bit
             left = chunk.copy()
             for t in range(p):
                 np.bitwise_and(left, -left, out=bits[t])
                 left ^= bits[t]
             blocks = _blocks_of(bits, k)
-            yield p, rank[chunk], rank[chunk ^ blocks], rank[blocks]
+            rest = _reached_rank(n, k, p - k, chunk ^ blocks).astype(np.intp)
+            yield p, slice(s, s + chunk.size), rest, rank[blocks].astype(np.intp)
+
+
+def _reached_rank(n: int, k: int, p: int, masks):
+    """The positions of the reached p-sets ``masks`` in the partition DP's
+    vector of them: their popcount ranks shifted down by r = (n - p) / k."""
+    return _popcount_rank(n)[masks >> (n - p) // k]
 
 
 def _require_packing_fit(g: WeightedCompleteGraph, k: int, kind: str):
@@ -198,10 +210,11 @@ def optimal_k_packing(
     with min(M), a set of the same kind, so the values, and the packing
     walked back from the full set, are those of the DP over every set.
 
-    The DP runs on vectors indexed by popcount rank: f[M] for each layer,
-    bw[B] for the k-sets.  The ranks it gathers from depend only on (n, k)
-    and come from the memo of ``tsp``.  The blocks are walked back from the
-    full set, each the first maximum in combinations order.
+    The DP runs on vectors: f[M] for each layer, over its reached sets
+    only, and bw[B] for the k-sets, indexed by popcount rank.  The
+    positions it gathers from depend only on (n, k) and come from the memo
+    of ``tsp``.  The blocks are walked back from the full set, each the
+    first maximum in combinations order.
 
     Raises OracleCapError, before allocating, where the call's memory
     estimate is above ``tsp.MEMORY_BUDGET`` or n is above ``max_n``.
@@ -221,13 +234,13 @@ def optimal_k_packing(
         masks = _masks_by_popcount(n)[k]
         bw = bw + w.astype(bw.dtype)[:, rank[masks & -masks]]
     bw = bw.max(axis=0)
-    # f[p // k][rank[M]]: the best packing of the p-set M, where reached
+    # f[p // k][_reached_rank(n, k, p, M)]: the best packing of the reached p-set M
     f = [np.zeros(1, dtype=np.int64)]
     for p, at, rest, block in _MEMO.tables(
         ("partition", n, k), fp.blocks, lambda: _partition_tables(n, k)
     ):
         if len(f) == p // k:
-            f.append(np.zeros(comb(n, p), dtype=np.int64))
+            f.append(np.zeros(comb(n - (n - p) // k, p), dtype=np.int64))
         vals = f[-2][rest]
         vals += bw[block]
         f[-1][at] = vals.max(axis=0)
@@ -236,7 +249,8 @@ def optimal_k_packing(
     for p in range(n, 0, -k):
         bits = np.array([[1 << v] for v in range(n) if mask >> v & 1], dtype=np.int64)
         cands = _blocks_of(bits, k)[:, 0]
-        block = int(cands[(f[p // k - 1][rank[mask ^ cands]] + bw[rank[cands]]).argmax()])
+        rest = f[p // k - 1][_reached_rank(n, k, p - k, mask ^ cands)]
+        block = int(cands[(rest + bw[rank[cands]]).argmax()])
         blocks.append(tuple(_walk(dps, rank, w, block, kind)[0]))
         mask ^= block
     if kind == "cycle":

@@ -38,12 +38,13 @@ MEMORY_BUDGET = 256 << 20
 # the most entries the sums of one Held-Karp step take (unless one row of
 # sums is larger): a layer whose path ends do not fit takes several steps
 _STEP_BUDGET = 1 << 18
-# the most entries of one temporary array of the partition DP (unless the
-# blocks of one set are more)
+# the most entries of one temporary array of the kernel's step tables and
+# of the partition DP (unless the blocks of one set are more)
 _CHUNK = 1 << 16
-# bytes of index tables the memo keeps: the kernel's step masks and the
-# partition DP's block ranks of the shapes called most recently
-_MEMO_BYTES = 4 << 20
+# bytes of index tables the memo keeps: the kernel's step positions and the
+# partition DP's block ranks of the shapes called most recently; 8 MB holds
+# the n = 16 tour's positions (3.75 MB) with every audit-small shape's tables
+_MEMO_BYTES = 8 << 20
 
 
 class OracleCapError(ValueError):
@@ -56,12 +57,11 @@ class _Memo:
 
     ``tables(key, nbytes, build)`` returns what the generator ``build()``
     yields for the shape ``key``, tuples holding arrays, which the caller
-    predicts to take ``nbytes``.  Tables predicted to take at most an
-    eighth of the budget are kept as a list, evicting the least recently
-    used until the bytes of the arrays kept fit, so that one large shape
-    cannot flush the others.  Larger ones are never kept: the generator
-    itself is returned, and builds them chunk by chunk as the caller reads
-    it.
+    predicts to take ``nbytes``.  Tables predicted to take at most half
+    the budget are kept as a list, evicting the least recently used until
+    the bytes of the arrays kept fit.  Larger ones are never kept: the
+    generator itself is returned, and builds them chunk by chunk as the
+    caller reads it.
     """
 
     def __init__(self, budget: int):
@@ -71,7 +71,7 @@ class _Memo:
         self.misses = 0
 
     def keeps(self, nbytes: int) -> bool:
-        return 8 * nbytes <= self.budget
+        return 2 * nbytes <= self.budget
 
     def tables(self, key, nbytes: int, build):
         entry = self.entries.get(key)
@@ -95,16 +95,21 @@ _MEMO = _Memo(_MEMO_BYTES)
 
 @lru_cache(maxsize=8)
 def _masks_by_popcount(m: int):
+    """The m-bit masks of each popcount c = 0..m, in increasing order, as
+    int32 (the 2^m of them are listed, so m < 31)."""
     pc = np.zeros(1, dtype=np.uint8)  # pc[mask]: the popcount of the mask
     for _ in range(m):
         pc = np.concatenate([pc, pc + 1])  # the masks with the next bit set
-    return [np.flatnonzero(pc == c) for c in range(m + 1)]
+    return [np.flatnonzero(pc == c).astype(np.int32) for c in range(m + 1)]
 
 
 @lru_cache(maxsize=8)
 def _popcount_rank(m: int) -> np.ndarray:
-    """rank[mask]: the position of mask among the m-bit masks of its popcount."""
-    rank = np.empty(1 << m, dtype=np.int64)
+    """rank[mask]: the position of mask among the m-bit masks of its
+    popcount, as int32.  It is also the position among the masks of any
+    width that holds the mask, as the smaller masks of a popcount come
+    first."""
+    rank = np.empty(1 << m, dtype=np.int32)
     for masks in _masks_by_popcount(m):
         rank[masks] = np.arange(masks.size)
     return rank
@@ -123,10 +128,13 @@ def _step_masks(m: int, top: int, anchored: bool):
     def tests(c):
         # row j of layer c: the masks S that end at j, j in S (anchored: and
         # j above the start min(S)), and, anchored, the masks with j above
-        # min(S); int32 holds the masks (the 2^m of them are listed, so
-        # m < 31) and halves the (m, C(m, c)) temporaries
-        masks = layers[c].astype(np.int32)
-        has = (masks & bits) != 0
+        # min(S); the bits are tested a chunk of masks at a time, which
+        # bounds the int32 temporary
+        masks = layers[c]
+        has = np.empty((m, masks.size), dtype=bool)
+        step = max(1, _CHUNK // m)
+        for s in range(0, masks.size, step):
+            np.not_equal(masks[s : s + step] & bits, 0, out=has[:, s : s + step])
         if not anchored:
             return has, None
         above = (masks & -masks) < bits
@@ -137,6 +145,17 @@ def _step_masks(m: int, top: int, anchored: bool):
         sources = ~ends if above is None else above ^ ends
         ends, above = tests(c)
         yield sources, ends
+
+
+def _step_tables(m: int, top: int, anchored: bool, flat: bool):
+    """The tables of ``_step_masks`` raveled, which index the raveled
+    layers: as the flat intp positions of their entries with ``flat``,
+    else as the boolean masks themselves."""
+    for sources, ends in _step_masks(m, top, anchored):
+        if flat:
+            yield np.flatnonzero(sources), np.flatnonzero(ends)
+        else:
+            yield sources.ravel(), ends.ravel()
 
 
 def _step_rows(size: int, m: int) -> int:
@@ -155,7 +174,8 @@ class _Footprint(NamedTuple):
 
     dtype: type  # of the kernel's layers
     sums: int  # entries of the kernel's buffer for the sums of a step
-    steps: int  # bytes of the kernel's step tables, which the memo may keep
+    reduced: int  # entries of the kernel's buffer for a layer's maxima
+    steps: int  # bytes of the kernel's step positions, which the memo may keep
     blocks: int  # bytes of the partition DP's index tables, which the memo may keep
     total: int  # bytes of the whole call
 
@@ -175,21 +195,22 @@ def _footprint(m: int, top: int, max_w: int, partition: bool = False) -> _Footpr
     weight then stays below every real sum.
 
     ``total`` adds up, in bytes:
-    - the masks of m bits by popcount and their ranks, 8 bytes a mask each,
+    - the masks of m bits by popcount and their ranks, 4 bytes a mask each,
       and 2 more that list them;
     - the layers, in their dtype;
     - the index tables that the memo keeps, all of them;
     - the larger of what the kernel's steps and the partition DP take, as
-      the steps' buffer and tables are freed when the last layer is made.
-    A step takes its buffer of sums and one layer's step tables, built with
-    up to 9 bytes of int32 and boolean tables per entry of the largest
-    layer.  The partition DP takes:
+      the steps' buffers and tables are freed when the last layer is made.
+    The step positions are 8 bytes per source and per end: a mask of layer
+    c has c of each (anchored, c - 1; both are charged c).  A step takes
+    its buffers of sums and maxima, the values it moves, and one layer's
+    step tables, built with up to 6 bytes of boolean tables per entry of
+    the largest layer.  The partition DP takes:
     - the block weights: the top layer and the edges that close the cycles;
-    - f, an int64 per set of each popcount p = k, 2k, ..., n, and the block
-      columns, k - 1 int64 per block of a p-set;
-    - the filter of the reached p-sets, 17 bytes per p-set, and one chunk of
-      index tables with the arrays that gather them, 64 bytes per (set,
-      block) entry.
+    - f, an int64 per reached set of each popcount p = k, 2k, ..., n, and
+      the block columns, k - 1 int64 per block of a p-set;
+    - one chunk of index tables with the arrays that gather them, 64 bytes
+      per (set, block) entry.
     """
     bound = (m + 1) * max_w
     if bound > _INT64_MAX:
@@ -203,23 +224,23 @@ def _shape_footprint(m: int, top: int, dtype: type, partition: bool) -> _Footpri
     b = np.dtype(dtype).itemsize
     size = [m * comb(m, c) for c in range(top + 1)]  # entries of layer c
     sums = max([_step_rows(s, m) * s for s in size[1:top]], default=0)
-    steps = sum(size[c - 1] + size[c] for c in range(2, top + 1))
+    reduced = max(size[1:top], default=0)
+    steps = 8 * sum(2 * c * comb(m, c) for c in range(2, top + 1))
     kept = steps if _MEMO.keeps(steps) else 0
-    work = b * sums + 9 * max(size)
+    work = b * (sums + reduced + max(size)) + 6 * max(size)
     blocks = 0
     if partition:
         n, k = m, top
         layers = range(k, n + 1, k)
         cols = {p: comb(p - 1, k - 1) for p in layers}  # the blocks of a p-set
         reach = {p: comb(n - (n - p) // k, p) for p in layers}
-        # per reached set, its rank and two per block
-        blocks = 8 * sum(reach[p] * (1 + 2 * cols[p]) for p in layers)
+        blocks = 16 * sum(reach[p] * cols[p] for p in layers)  # two ranks per block
         kept += blocks if _MEMO.keeps(blocks) else 0
         chunk = max(min(_chunk_size(n, k, p), reach[p]) * cols[p] for p in layers)
-        arrays = 2 * b * size[k] + 8 * sum(comb(n, p) + (k - 1) * cols[p] for p in layers)
-        work = max(work, arrays + 17 * max(comb(n, p) for p in layers) + 64 * chunk)
-    total = (18 << m) + b * sum(size) + kept + work
-    return _Footprint(dtype, sums, steps, blocks, total)
+        arrays = 2 * b * size[k] + 8 * sum(reach[p] + (k - 1) * cols[p] for p in layers)
+        work = max(work, arrays + 64 * chunk)
+    total = (10 << m) + b * sum(size) + kept + work
+    return _Footprint(dtype, sums, reduced, steps, blocks, total)
 
 
 def _require_fit(fp: _Footprint, what: str) -> None:
@@ -245,17 +266,19 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
     the m contiguous rows, and keeps the masks without j (anchored: with a
     vertex below j).  Removing bit j keeps masks in order, so these are, in
     order, the sources of the masks of layer c that end at j.  These tables
-    of sources and ends (``_step_masks``) depend only on (m, top, anchored):
-    they come from the memo, built once per shape where they fit its budget
-    and layer by layer on every call where they do not.
+    of sources and ends (``_step_masks``) depend only on (m, top, anchored).
+    Where the memo keeps a shape, it holds them as flat intp positions,
+    built once; elsewhere they are built layer by layer on every call and
+    read as raveled boolean masks, which index the same entries.
 
-    One step serves a run of ends j at once: it adds the edges into them to
-    the whole layer, takes the max over the source axis, and assigns the
-    sources to the ends in row-major order, which pairs them as above
-    because each row holds as many ends as sources.  A run spans as many
+    The maxima of a layer are taken a run of ends j at a time: a run adds
+    the edges into its ends to the whole layer and reduces over the source
+    axis into its rows of one (m, C(m, c - 1)) buffer.  A run spans as many
     rows as keep its sums within ``_STEP_BUDGET`` entries, at least one, so
-    the middle layers of m = 17 still take one row per step.  All steps
-    share one buffer for the sums, allocated once per call.
+    the middle layers of m = 17 take one row per run.  One gather and one
+    scatter then move the maxima of the sources to their ends, each row
+    holding as many of one as of the other.  All steps share the buffers
+    of sums and maxima, allocated once per call.
     """
     m = len(first)
     fp = _footprint(m, top, int(max(w.max(), first.max())))
@@ -265,18 +288,21 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
     np.fill_diagonal(dp, first)  # layer 1 lists 1 << v at column v
     yield dp
     buf = np.empty(fp.sums, dtype=fp.dtype)
-    for sources, ends in _MEMO.tables(
-        ("held_karp", m, top, anchored), fp.steps, lambda: _step_masks(m, top, anchored)
-    ):
-        nxt = np.full(ends.shape, unset, dtype=fp.dtype)
+    maxima = np.empty(fp.reduced, dtype=fp.dtype)
+    flat = _MEMO.keeps(fp.steps)
+    tables = _MEMO.tables(
+        ("held_karp", m, top, anchored), fp.steps, lambda: _step_tables(m, top, anchored, flat)
+    )
+    for c, (sources, ends) in enumerate(tables, start=2):
+        red = maxima[: dp.size].reshape(dp.shape)
         rows = _step_rows(dp.size, m)
         for j in range(0, m, rows):
-            at = ends[j : j + rows]
             # sums[r, i, S] = dp[i, S] + w[i, j + r]; the max over i extends S to j + r
-            sums = buf[: len(at) * dp.size].reshape(len(at), m, -1)
+            sums = buf[: min(rows, m - j) * dp.size].reshape(-1, m, dp.shape[1])
             np.add(dp, wt[j : j + rows, :, None], out=sums)
-            nxt[j : j + rows][at] = np.maximum.reduce(sums, axis=1)[sources[j : j + rows]]
-        dp = nxt
+            np.maximum.reduce(sums, axis=1, out=red[j : j + rows])
+        dp = np.full((m, comb(m, c)), unset, dtype=fp.dtype)
+        dp.reshape(-1)[ends] = red.reshape(-1)[sources]
         yield dp
 
 

@@ -121,9 +121,10 @@ def test_solve_csv_format(capsys):
     assert "weight" in header.split(",")
 
 
-@pytest.mark.parametrize("n, algo, k, code", [(18, "alg2", "6", 0), (24, "alg7", "4", 2)])
+@pytest.mark.parametrize("n, algo, k, code", [(18, "alg2", "6", 0), (24, "alg1", "8", 2)])
 def test_solve_oracle_runs_or_refuses_by_its_memory_estimate(capsys, tmp_path, n, algo, k, code):
-    # n = 18 ran into the old cap of 16 at k = 6; n = 24 does not fit the budget
+    # n = 18 ran into the old cap of 16 at k = 6; n = 24, k = 8 does not fit
+    # the budget
     inst = tmp_path / "g.pg"
     run_cli(capsys, "gen", "--n", str(n), "--class", "metric", "--out", str(inst))
     got, out, err = run_cli(capsys, "solve", "--in", str(inst), "--algo", algo, "--k", k,
@@ -133,7 +134,7 @@ def test_solve_oracle_runs_or_refuses_by_its_memory_estimate(capsys, tmp_path, n
         assert json.loads(out)["oracle_weight"] > 0
     else:
         assert out == ""
-        assert re.fullmatch(r"error: the exact 4-cycle packing on n=24 needs an estimated \d+ MB, "
+        assert re.fullmatch(r"error: the exact 8-cycle packing on n=24 needs an estimated \d+ MB, "
                             r"above the memory budget of 256 MB\n", err), err
 
 

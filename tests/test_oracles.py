@@ -21,6 +21,7 @@ from packgraph.graph import (
 from packgraph.oracles import (
     ALGORITHMS,
     OracleCapError,
+    _require_packing_fit,
     audit_instance,
     best_k_tour_on_set,
     brute_force_optimal_packing,
@@ -44,6 +45,16 @@ def test_best_k_tour_subset():
     assert sorted(order) == [1, 4, 7, 9]
     # cycle weight is invariant under rotation of the reported order
     assert cycle_weight(g, order) == w
+
+
+@pytest.mark.parametrize("S", [[0, 0, 1], [0, 1, -1], [0, 1, 99]])
+@pytest.mark.parametrize("kind", ["cycle", "path"])
+def test_best_k_tour_refuses_a_set_that_is_not_distinct_vertices(kind, S):
+    # a repeated vertex, a negative index (which numpy would wrap to 5) and
+    # one past the last vertex
+    g = generate_instance(6, "metric", seed=0)
+    with pytest.raises(ValueError, match=r"distinct vertices in range\(6\)"):
+        best_k_tour_on_set(g, S, kind)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,8 +230,10 @@ def test_oracle_answers_k_equal_n():
 
 
 def test_oracle_caps():
+    g = generate_instance(24, "general", seed=0)
+    assert _require_packing_fit(g, 3, "cycle").fits  # ~170 MB, below the budget
     with pytest.raises(OracleCapError):
-        optimal_k_packing(generate_instance(24, "general", seed=0), 3, "cycle")
+        optimal_k_packing(g, 8, "cycle")
     g = generate_instance(18, "general", seed=0)
     with pytest.raises(ValueError):
         brute_force_optimal_packing(g, 3, "cycle")

@@ -28,6 +28,7 @@ from packgraph.oracles import (
     brute_force_optimal_packing,
     optimal_k_packing,
 )
+from packgraph import tsp
 from packgraph.tsp import (
     _MEMO,
     MEMORY_BUDGET,
@@ -87,12 +88,13 @@ def _traced_peak(call):
     [
         (23, exact_max_tsp),
         (22, lambda g: optimal_k_packing(g, 11, "path")),
-        (24, lambda g: optimal_k_packing(g, 4, "cycle")),
+        (24, lambda g: optimal_k_packing(g, 8, "cycle")),
     ],
-    ids=["tour-n23", "oracle-n22-k11-path", "oracle-n24-k4-cycle"],
+    ids=["tour-n23", "oracle-n22-k11-path", "oracle-n24-k8-cycle"],
 )
 def test_exact_dps_refuse_above_the_memory_budget_before_allocating(n, call):
-    # the first sizes refused: the tour fits at n = 22, every k at n = 21
+    # the first sizes refused: the tour fits at n = 22, every k at n = 21,
+    # k = 2 at n = 22 and k <= 6 at n = 24
     g = generate_instance(n, "metric", seed=0)
     refusals = []
 
@@ -202,11 +204,10 @@ def test_held_karp_matches_a_dict_reference(case):
     _assert_kernel_matches_the_reference(*case)
 
 
-@pytest.mark.parametrize("anchored", [False, True])
-@pytest.mark.parametrize("dtype", [np.int16, np.int64])
-def test_held_karp_steps_split_into_row_runs_match_the_reference(dtype, anchored):
-    # at m = 13 the last layer's steps span fewer rows than its 13 path ends,
-    # and the last run is shorter than the others
+def _row_run_case(dtype, anchored):
+    """Kernel inputs on m = 13 up to popcount 7, whose last layer's maxima
+    are taken in runs of fewer rows than its 13 path ends, the last run
+    shorter than the others; the heaviest weight makes the layers ``dtype``."""
     m, top = 13, 7
     rows = _STEP_BUDGET // (m * comb(m, top - 1))
     assert 1 < rows < m and m % rows != 0
@@ -218,7 +219,28 @@ def test_held_karp_steps_split_into_row_runs_match_the_reference(dtype, anchored
     np.fill_diagonal(w, 0)
     w[0, m - 1] = heaviest
     first = rng.integers(0, heaviest + 1, size=m)
-    _assert_kernel_matches_the_reference(w.tolist(), first.tolist(), top, anchored, dtype)
+    return w.tolist(), first.tolist(), top, anchored, dtype
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_held_karp_steps_split_into_row_runs_match_the_reference(dtype, anchored):
+    _assert_kernel_matches_the_reference(*_row_run_case(dtype, anchored))
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_held_karp_reads_kept_positions_and_built_masks_alike(monkeypatch, dtype, anchored):
+    # the memo keeps this shape's step tables as flat intp positions; a memo
+    # of no bytes keeps nothing, so the call builds raveled boolean masks
+    case = _row_run_case(dtype, anchored)
+    key = ("held_karp", 13, 7, anchored)
+    _assert_kernel_matches_the_reference(*case)
+    assert all(a.dtype == np.intp for step in _MEMO.entries[key][1] for a in step)
+    empty = _Memo(budget=0)
+    monkeypatch.setattr(tsp, "_MEMO", empty)
+    _assert_kernel_matches_the_reference(*case)
+    assert empty.misses == 1 and not empty.entries
 
 
 def _kept_bytes():
@@ -233,15 +255,18 @@ def _kept_bytes():
 
 
 def test_memo_keeps_within_its_budget():
-    # n = 16 at every k, then a tour at m = 17: the shapes above an eighth of
-    # the budget are built per call and never kept
+    # n = 16 at every k, then the tours at m = 15 and 17: the shapes above
+    # half the budget (the kernel at m = 16 up to 16 and at m = 17) are built
+    # per call and never kept
     for kind, ks in (("path", (2, 4, 8, 16)), ("cycle", (4, 8, 16))):
         for k in ks:
             optimal_k_packing(generate_instance(16, "metric", seed=k), k, kind)
             assert _kept_bytes() == _MEMO.nbytes <= _MEMO.budget
-            assert ("partition", 16, 4) not in _MEMO.entries
-    exact_max_tsp(generate_instance(18, "metric", seed=0))
-    assert _kept_bytes() == _MEMO.nbytes <= _MEMO.budget
+            assert ("held_karp", 16, 16, kind == "cycle") not in _MEMO.entries
+    for n in (16, 18):
+        exact_max_tsp(generate_instance(n, "metric", seed=0))
+        assert _kept_bytes() == _MEMO.nbytes <= _MEMO.budget
+    assert ("held_karp", 15, 15, False) in _MEMO.entries
     assert ("held_karp", 17, 17, False) not in _MEMO.entries
 
 
@@ -258,9 +283,13 @@ def test_memo_evicts_the_least_recently_used():
         memo.tables(key, 100, build(100))
     assert list(memo.entries) == ["c", "a", "d", "e", "f", "g", "h", "i"]
     assert memo.nbytes == 800 and memo.misses == 9
-    # above an eighth of the budget: built on each call, nothing evicted
-    assert not isinstance(memo.tables("big", 101, build(101)), list)
-    assert "big" not in memo.entries and memo.nbytes == 800 and memo.misses == 10
+    # half the budget is kept, evicting the four least recently used
+    assert isinstance(memo.tables("half", 400, build(400)), list)
+    assert list(memo.entries) == ["f", "g", "h", "i", "half"]
+    assert memo.nbytes == 800 and memo.misses == 10
+    # above half the budget: built on each call, nothing evicted
+    assert not isinstance(memo.tables("big", 401, build(401)), list)
+    assert "big" not in memo.entries and memo.nbytes == 800 and memo.misses == 11
 
 
 # the audit-small shapes of perfbench: (algorithm, k, weight class, n)
