@@ -22,7 +22,8 @@ The per-call table times the exact DPs alone (``CALL_SCRIPT``) in
 even pairs.  Each subprocess times every call on ``CALL_REPEATS`` metric
 instances, after one call that builds the index tables the later ones find;
 the table holds each side's median [Q1, Q3] over all these times, in ms, and
-their ratio.
+their ratio.  The memo keeps popcount tables up to 18 bits, so the tour
+at n = 20 and the oracle at n = 21 rebuild theirs on every call.
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ from packgraph.tsp import exact_max_tsp
 CALLS = {
     "exact_max_tsp(n=16)": (16, exact_max_tsp),
     "exact_max_tsp(n=18)": (18, exact_max_tsp),
+    "exact_max_tsp(n=20)": (20, exact_max_tsp),
     "optimal_k_packing(n=14, k=7, cycle)": (14, lambda g: optimal_k_packing(g, 7, "cycle")),
     "optimal_k_packing(n=12, k=4, path)": (12, lambda g: optimal_k_packing(g, 4, "path")),
+    "optimal_k_packing(n=21, k=3, cycle)": (21, lambda g: optimal_k_packing(g, 3, "cycle")),
 }
 out = {}
 for name, (n, call) in CALLS.items():

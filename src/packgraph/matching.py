@@ -18,19 +18,16 @@ Every engine result is checked by ``check_matching_certificate``: the vertex
 and blossom duals the engine ends with must be feasible, tight on each
 matched edge, and every blossom with a positive dual must be full, which
 proves by LP duality that the matching is a maximum-weight perfect matching.
-Size-constrained matchings go through the dummy-vertex reduction;
-``brute_force_matching`` is an independent subset DP that serves as a
-differential oracle.
+Size-constrained matchings go through the dummy-vertex reduction.  The
+tests check the engine against an independent subset DP
+(``tests/brute_force.py``).
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Sequence
 
 from .graph import Matching, WeightedCompleteGraph, make_matching
-
-BRUTE_FORCE_MAX_N = 16
 
 
 def max_weight_perfect_matching_matrix(w: Sequence[Sequence[int]]) -> list:
@@ -509,36 +506,3 @@ def max_weight_matching_of_size(g: WeightedCompleteGraph, p: int) -> Matching:
     if len(real) != p:
         raise AssertionError("dummy reduction produced wrong cardinality")
     return make_matching(real)
-
-
-def brute_force_matching(g: WeightedCompleteGraph, p: int) -> Matching:
-    """Maximum over all matchings of size exactly p, by an exact DP over the
-    set of vertices still free: the lowest of them is either left unmatched
-    or paired with a later one.  Shares no code with the blossom engine."""
-    if p < 0 or 2 * p > g.n:
-        raise ValueError(f"infeasible matching size p={p} for n={g.n}")
-    if g.n > BRUTE_FORCE_MAX_N:
-        raise ValueError("instance above brute-force cap")
-    n = g.n
-    w = g.w.tolist()
-
-    @cache
-    def best(rest: int, r: int):
-        # (weight, edges) of the heaviest r edges within the vertex set rest
-        if r == 0:
-            return 0, ()
-        if rest.bit_count() < 2 * r:
-            return None
-        low = rest & -rest
-        i = low.bit_length() - 1
-        rest ^= low
-        top = best(rest, r)
-        for j in range(i + 1, n):
-            if rest >> j & 1:
-                wt, tail = best(rest ^ (1 << j), r - 1)
-                wt += w[i][j]
-                if top is None or wt > top[0]:
-                    top = (wt, ((i, j),) + tail)
-        return top
-
-    return make_matching(best((1 << n) - 1, p)[1])

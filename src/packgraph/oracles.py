@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
-from itertools import chain, combinations, permutations
+from functools import cache
+from itertools import chain, combinations
 from math import comb
 from typing import Optional, Sequence
 
@@ -33,6 +33,7 @@ import numpy as np
 from . import cycle_packing as cp
 from . import path_packing as pp
 from . import reductions as red
+from . import tsp
 from .cycle_packing import _NO_MAX, METRIC, AlgorithmSpec, AuditEntry, F, Run, _algorithm
 from .graph import (
     KCyclePacking,
@@ -42,19 +43,16 @@ from .graph import (
     cycle_weight,
     matching_weight,
     packing_weight,
-    path_weight,
     require_divisible,
     validate_packing,
 )
 from .matching import max_weight_perfect_matching  # noqa: F401  (re-exported)
 from .tsp import (  # noqa: F401  (OracleCapError re-exported)
-    _MEMO,
     OracleCapError,
     _chunk_size,
     _footprint,
     _held_karp,
-    _masks_by_popcount,
-    _popcount_rank,
+    _popcounts,
     _require_fit,
     _tour_footprint,
     exact_max_tsp,
@@ -124,33 +122,40 @@ def best_k_tour_on_set(
     _require_block(k, kind)
     w = g.w[np.ix_(S, S)].astype(np.int64)
     _require_fit(_footprint(k, k, int(w.max())), f"the exact {k}-{kind} on a set")
-    dps = list(_held_karp(w, np.zeros(k, dtype=np.int64), k, kind == "cycle"))
-    order, weight = _walk(dps, _popcount_rank(k), w, (1 << k) - 1, kind)
+    masks, rank = _popcounts(k)
+    dps = _held_karp(w, np.zeros(k, dtype=np.int64), k, kind == "cycle", masks)
+    order, weight = _walk(dps, rank, w, (1 << k) - 1, kind)
     return tuple(int(S[i]) for i in order), weight
 
 
-@lru_cache(maxsize=64)
 def _block_columns(p: int, k: int) -> np.ndarray:
-    """The (k-1)-subsets of the positions 1..p-1, in combinations order."""
-    cols = chain.from_iterable(combinations(range(1, p), k - 1))
-    return np.fromiter(cols, dtype=np.int64, count=comb(p - 1, k - 1) * (k - 1)).reshape(-1, k - 1)
+    """The (k-1)-subsets of the positions 1..p-1, in combinations order, as
+    a (C(p-1, k-1), k-1) int64 array from the memo of ``tsp``."""
+    size = comb(p - 1, k - 1) * (k - 1)
+
+    def build():
+        cols = chain.from_iterable(combinations(range(1, p), k - 1))
+        yield (np.fromiter(cols, dtype=np.int64, count=size).reshape(-1, k - 1),)
+
+    ((cols,),) = tsp._MEMO.tables(("columns", p, k), 8 * size, build)
+    return cols
 
 
-def _blocks_of(bits: np.ndarray, k: int) -> np.ndarray:
+def _blocks_of(bits: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The blocks of masks of popcount p, given as ``bits``, the (p, masks)
     array whose row t holds each mask's t-th lowest bit: column i lists the
     blocks made of the lowest vertex of mask i and k-1 of its other
-    vertices, in combinations order."""
-    p = bits.shape[0]
-    cols = _block_columns(p, k)
+    vertices, in combinations order, ``cols = _block_columns(p, k)``."""
     blocks = bits[cols[:, 0]] | bits[0]
-    for t in range(1, k - 1):
+    for t in range(1, cols.shape[1]):
         blocks |= bits[cols[:, t]]
     return blocks
 
 
-def _partition_tables(n: int, k: int):
-    """The index tables of the partition DP on n vertices with blocks of k.
+def _partition_tables(n: int, k: int, masks: list, rank: np.ndarray, cols: dict):
+    """The index tables of the partition DP on n vertices with blocks of k,
+    from the popcount tables ``masks, rank = _popcounts(n)`` and the block
+    columns ``cols[p] = _block_columns(p, k)``.
 
     Yields (p, at, rest, block) per chunk of the masks of popcount p that
     the full set reaches, the p-subsets of {r, ..., n-1}, r = (n - p) / k.
@@ -160,10 +165,9 @@ def _partition_tables(n: int, k: int):
     set of popcount p - k, and the popcount ranks of B for the blocks B of
     the chunk's i-th set M.
     """
-    layers, rank = _masks_by_popcount(n), _popcount_rank(n)
     for p in range(k, n + 1, k):
         r = (n - p) // k
-        reached = layers[p][: comb(n - r, p)]  # shifted down by r
+        reached = masks[p][: comb(n - r, p)]  # shifted down by r
         step = _chunk_size(n, k, p)
         for s in range(0, reached.size, step):
             chunk = reached[s : s + step].astype(np.int64) << r
@@ -172,15 +176,16 @@ def _partition_tables(n: int, k: int):
             for t in range(p):
                 np.bitwise_and(left, -left, out=bits[t])
                 left ^= bits[t]
-            blocks = _blocks_of(bits, k)
-            rest = _reached_rank(n, k, p - k, chunk ^ blocks).astype(np.intp)
+            blocks = _blocks_of(bits, cols[p])
+            rest = _reached_rank(rank, n, k, p - k, chunk ^ blocks).astype(np.intp)
             yield p, slice(s, s + chunk.size), rest, rank[blocks].astype(np.intp)
 
 
-def _reached_rank(n: int, k: int, p: int, masks):
+def _reached_rank(rank: np.ndarray, n: int, k: int, p: int, masks):
     """The positions of the reached p-sets ``masks`` in the partition DP's
-    vector of them: their popcount ranks shifted down by r = (n - p) / k."""
-    return _popcount_rank(n)[masks >> (n - p) // k]
+    vector of them: their popcount ranks (``rank`` of ``_popcounts(n)``)
+    shifted down by r = (n - p) / k."""
+    return rank[masks >> (n - p) // k]
 
 
 def _require_packing_fit(g: WeightedCompleteGraph, k: int, kind: str):
@@ -224,20 +229,21 @@ def optimal_k_packing(
         raise OracleCapError(f"n={n} above max_n={max_n}")
     fp = _require_packing_fit(g, k, kind)
     w = g.w.astype(np.int64)
-    dps = list(_held_karp(w, np.zeros(n, dtype=np.int64), k, kind == "cycle"))
-    rank = _popcount_rank(n)
+    masks, rank = _popcounts(n)
+    cols = {p: _block_columns(p, k) for p in range(k, n + 1, k)}
+    dps = _held_karp(w, np.zeros(n, dtype=np.int64), k, kind == "cycle", masks)
     # bw[rank[B]]: the best k-cycle (closed at the lowest vertex, where each
     # path starts; rank[1 << v] = v) or k-path weight of each k-set B, in the
     # layers' dtype, which holds the k weights of a cycle
     bw = dps[-1]
     if kind == "cycle":
-        masks = _masks_by_popcount(n)[k]
-        bw = bw + w.astype(bw.dtype)[:, rank[masks & -masks]]
+        sets = masks[k]
+        bw = bw + w.astype(bw.dtype)[:, rank[sets & -sets]]
     bw = bw.max(axis=0)
-    # f[p // k][_reached_rank(n, k, p, M)]: the best packing of the reached p-set M
+    # f[p // k][_reached_rank(rank, n, k, p, M)]: the best packing of the reached p-set M
     f = [np.zeros(1, dtype=np.int64)]
-    for p, at, rest, block in _MEMO.tables(
-        ("partition", n, k), fp.blocks, lambda: _partition_tables(n, k)
+    for p, at, rest, block in tsp._MEMO.tables(
+        ("partition", n, k), fp.blocks, lambda: _partition_tables(n, k, masks, rank, cols)
     ):
         if len(f) == p // k:
             f.append(np.zeros(comb(n - (n - p) // k, p), dtype=np.int64))
@@ -248,8 +254,8 @@ def optimal_k_packing(
     mask = (1 << n) - 1
     for p in range(n, 0, -k):
         bits = np.array([[1 << v] for v in range(n) if mask >> v & 1], dtype=np.int64)
-        cands = _blocks_of(bits, k)[:, 0]
-        rest = f[p // k - 1][_reached_rank(n, k, p - k, mask ^ cands)]
+        cands = _blocks_of(bits, cols[p])[:, 0]
+        rest = f[p // k - 1][_reached_rank(rank, n, k, p - k, mask ^ cands)]
         block = int(cands[(rest + bw[rank[cands]]).argmax()])
         blocks.append(tuple(_walk(dps, rank, w, block, kind)[0]))
         mask ^= block
@@ -258,37 +264,6 @@ def optimal_k_packing(
     else:
         packing = KPathPacking(k=k, paths=tuple(blocks))
     return packing, int(f[-1][0])
-
-
-def brute_force_optimal_packing(
-    g: WeightedCompleteGraph, k: int, kind: str = "cycle", max_n: int = 10
-):
-    """Pure partition enumeration, each block weighed over all its vertex
-    orders; independent check of the DP for small n."""
-    n = g.n
-    require_divisible(n, k)
-    if n > max_n:
-        raise ValueError(f"n={n} above brute-force cap {max_n}")
-
-    def block_weight(verts) -> int:
-        weigh = cycle_weight if kind == "cycle" else path_weight
-        return max(weigh(g, p) for p in permutations(verts))
-
-    best = [-1]
-
-    def rec(remaining: list, acc: int):
-        if not remaining:
-            if acc > best[0]:
-                best[0] = acc
-            return
-        anchor = remaining[0]
-        for rest in combinations(remaining[1:], k - 1):
-            verts = (anchor,) + rest
-            left = [v for v in remaining[1:] if v not in rest]
-            rec(left, acc + block_weight(verts))
-
-    rec(list(range(n)), 0)
-    return best[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
@@ -41,9 +42,10 @@ _STEP_BUDGET = 1 << 18
 # the most entries of one temporary array of the kernel's step tables and
 # of the partition DP (unless the blocks of one set are more)
 _CHUNK = 1 << 16
-# bytes of index tables the memo keeps: the kernel's step positions and the
-# partition DP's block ranks of the shapes called most recently; 8 MB holds
-# the n = 16 tour's positions (3.75 MB) with every audit-small shape's tables
+# bytes of index tables the memo keeps: the popcount tables, the kernel's
+# step positions and the partition DP's block columns and ranks of the
+# shapes called most recently; 8 MB holds the n = 16 tour's positions
+# (3.75 MB) with every audit-small shape's tables
 _MEMO_BYTES = 8 << 20
 
 
@@ -61,7 +63,7 @@ class _Memo:
     the budget are kept as a list, evicting the least recently used until
     the bytes of the arrays kept fit.  Larger ones are never kept: the
     generator itself is returned, and builds them chunk by chunk as the
-    caller reads it.
+    caller reads it.  It holds every index table the exact DPs keep.
     """
 
     def __init__(self, budget: int):
@@ -93,36 +95,39 @@ class _Memo:
 _MEMO = _Memo(_MEMO_BYTES)
 
 
-@lru_cache(maxsize=8)
-def _masks_by_popcount(m: int):
-    """The m-bit masks of each popcount c = 0..m, in increasing order, as
-    int32 (the 2^m of them are listed, so m < 31)."""
+def _popcount_tables(m: int):
+    """Yields one tuple: rank, then the m-bit masks of each popcount c =
+    0..m in increasing order, all int32 (the 2^m masks are listed, so
+    m < 31).  rank[mask] is the position of mask among the m-bit masks of
+    its popcount.  It is also the position among the masks of any width
+    that holds the mask, as the smaller masks of a popcount come first."""
     pc = np.zeros(1, dtype=np.uint8)  # pc[mask]: the popcount of the mask
     for _ in range(m):
         pc = np.concatenate([pc, pc + 1])  # the masks with the next bit set
-    return [np.flatnonzero(pc == c).astype(np.int32) for c in range(m + 1)]
-
-
-@lru_cache(maxsize=8)
-def _popcount_rank(m: int) -> np.ndarray:
-    """rank[mask]: the position of mask among the m-bit masks of its
-    popcount, as int32.  It is also the position among the masks of any
-    width that holds the mask, as the smaller masks of a popcount come
-    first."""
+    masks = [np.flatnonzero(pc == c).astype(np.int32) for c in range(m + 1)]
+    del pc  # before the rank table is allocated
     rank = np.empty(1 << m, dtype=np.int32)
-    for masks in _masks_by_popcount(m):
-        rank[masks] = np.arange(masks.size)
-    return rank
+    for layer in masks:
+        rank[layer] = np.arange(layer.size)
+    yield (rank, *masks)
 
 
-def _step_masks(m: int, top: int, anchored: bool):
-    """For each step c = 2..top of the kernel on m vertices: (sources, ends),
-    the (m, C(m, c - 1)) and (m, C(m, c)) boolean tables whose row j holds
-    the masks of layer c - 1 that j extends, those without j (anchored: with
-    a vertex below j), and the masks of layer c that end at j.  Each layer's
-    membership tests are computed once and give the next step's sources.
+def _popcounts(m: int):
+    """(masks, rank) of ``_popcount_tables(m)``, charged 10 bytes a mask as
+    in ``_footprint``, so the memo keeps them up to m = 18."""
+    ((rank, *masks),) = _MEMO.tables(("popcounts", m), 10 << m, lambda: _popcount_tables(m))
+    return masks, rank
+
+
+def _step_masks(layers: list, top: int, anchored: bool):
+    """For each step c = 2..top of the kernel on m vertices, whose masks by
+    popcount are ``layers``: (sources, ends), the (m, C(m, c - 1)) and
+    (m, C(m, c)) boolean tables whose row j holds the masks of layer c - 1
+    that j extends, those without j (anchored: with a vertex below j), and
+    the masks of layer c that end at j.  Each layer's membership tests are
+    computed once and give the next step's sources.
     """
-    layers = _masks_by_popcount(m)
+    m = len(layers) - 1
     bits = 1 << np.arange(m, dtype=np.int32)[:, None]
 
     def tests(c):
@@ -147,11 +152,11 @@ def _step_masks(m: int, top: int, anchored: bool):
         yield sources, ends
 
 
-def _step_tables(m: int, top: int, anchored: bool, flat: bool):
+def _step_tables(layers: list, top: int, anchored: bool, flat: bool):
     """The tables of ``_step_masks`` raveled, which index the raveled
     layers: as the flat intp positions of their entries with ``flat``,
     else as the boolean masks themselves."""
-    for sources, ends in _step_masks(m, top, anchored):
+    for sources, ends in _step_masks(layers, top, anchored):
         if flat:
             yield np.flatnonzero(sources), np.flatnonzero(ends)
         else:
@@ -252,15 +257,18 @@ def _require_fit(fp: _Footprint, what: str) -> None:
         )
 
 
-def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
-    """Maximum-weight Held-Karp over the m vertices of the m x m matrix w.
+def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool, masks: list):
+    """Maximum-weight Held-Karp over the m vertices of the m x m matrix w;
+    ``masks`` lists the m-bit masks by popcount (``_popcounts(m)``).
 
-    Yields the popcount layers 1..top: the layer of popcount c is an
+    Returns the popcount layers 1..top: the layer of popcount c is an
     (m, C(m, c)) array whose column rank[S], for the masks S of popcount c,
     holds dp[j, S], the heaviest path through S ending at j, where a path
     starts at some v with weight first[v] (``anchored``: at v = min(S)).
     States with no path hold the least value of the layers' dtype, which
-    ``_footprint`` picks.
+    ``_footprint`` picks.  The layers are views of one block allocated per
+    call, which the allocator serves again to the next call of the same
+    size without faulting its pages back in.
 
     A step extends each column of layer c - 1 by the edge to j, a max over
     the m contiguous rows, and keeps the masks without j (anchored: with a
@@ -284,16 +292,18 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
     fp = _footprint(m, top, int(max(w.max(), first.max())))
     unset = np.iinfo(fp.dtype).min
     wt = w.T.astype(fp.dtype)  # wt[j, i] = w[i, j], the edge into the end j
-    dp = np.full((m, m), unset, dtype=fp.dtype)
-    np.fill_diagonal(dp, first)  # layer 1 lists 1 << v at column v
-    yield dp
+    bounds = list(accumulate((m * comb(m, c) for c in range(1, top + 1)), initial=0))
+    block = np.empty(bounds[-1], dtype=fp.dtype)  # each layer is filled when it is made
+    dps = [block[a:b].reshape(m, -1) for a, b in zip(bounds, bounds[1:])]
+    dps[0].fill(unset)
+    np.fill_diagonal(dps[0], first)  # layer 1 lists 1 << v at column v
     buf = np.empty(fp.sums, dtype=fp.dtype)
     maxima = np.empty(fp.reduced, dtype=fp.dtype)
     flat = _MEMO.keeps(fp.steps)
     tables = _MEMO.tables(
-        ("held_karp", m, top, anchored), fp.steps, lambda: _step_tables(m, top, anchored, flat)
+        ("held_karp", m, top, anchored), fp.steps, lambda: _step_tables(masks, top, anchored, flat)
     )
-    for c, (sources, ends) in enumerate(tables, start=2):
+    for dp, nxt, (sources, ends) in zip(dps, dps[1:], tables):
         red = maxima[: dp.size].reshape(dp.shape)
         rows = _step_rows(dp.size, m)
         for j in range(0, m, rows):
@@ -301,9 +311,9 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool):
             sums = buf[: min(rows, m - j) * dp.size].reshape(-1, m, dp.shape[1])
             np.add(dp, wt[j : j + rows, :, None], out=sums)
             np.maximum.reduce(sums, axis=1, out=red[j : j + rows])
-        dp = np.full((m, comb(m, c)), unset, dtype=fp.dtype)
-        dp.reshape(-1)[ends] = red.reshape(-1)[sources]
-        yield dp
+        nxt.fill(unset)
+        nxt.reshape(-1)[ends] = red.reshape(-1)[sources]
+    return dps
 
 
 def _tour_footprint(g: WeightedCompleteGraph) -> _Footprint:
@@ -325,8 +335,8 @@ def exact_max_tsp(g: WeightedCompleteGraph) -> HamiltonianCycle:
     m = n - 1
     W = g.w[1:, 1:].astype(np.int64)  # W[i, j] = w(i+1, j+1)
     w0 = g.w[0, 1:].astype(np.int64)  # w(0, j+1)
-    dps = list(_held_karp(W, w0, m, anchored=False))
-    rank = _popcount_rank(m)
+    masks, rank = _popcounts(m)
+    dps = _held_karp(W, w0, m, False, masks)
     mask = (1 << m) - 1
     j = int((dps[-1][:, 0] + w0).argmax())
     order = [j]

@@ -9,10 +9,11 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
+from brute_force import brute_force_matching
 from packgraph.cli import guarantee_bound
 from packgraph.fixtures import get_fixture, run_fixture_checks
 from packgraph.graph import generate_instance, is_metric, matching_weight
-from packgraph.matching import brute_force_matching, max_weight_matching_of_size
+from packgraph.matching import max_weight_matching_of_size
 from packgraph.oracles import audit_instance
 
 F = Fraction

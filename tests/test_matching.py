@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import BRUTE_FORCE_MAX_N, brute_force_matching
 from conftest import graph_from_matrix
 from packgraph import matching
 from packgraph.fixtures import get_fixture
 from packgraph.graph import generate_instance, matching_weight
 from packgraph.matching import (
-    BRUTE_FORCE_MAX_N,
-    brute_force_matching,
     check_matching_certificate,
     max_weight_matching_of_size,
     max_weight_perfect_matching,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brute_force import brute_force_optimal_packing
 from conftest import graph_from_matrix, uniform_graph
 from packgraph import oracles
 from packgraph.fixtures import get_fixture
@@ -24,11 +25,10 @@ from packgraph.oracles import (
     _require_packing_fit,
     audit_instance,
     best_k_tour_on_set,
-    brute_force_optimal_packing,
     optimal_k_packing,
     run_algorithm,
 )
-from packgraph.tsp import _held_karp, exact_max_tsp
+from packgraph.tsp import _held_karp, _popcounts, exact_max_tsp
 
 
 def test_best_k_tour_triangle_path_drops_lightest():
@@ -139,7 +139,7 @@ def _full_table_packing(g, k, kind):
     w = g.w.astype(np.int64)
     masks = np.arange(1 << n, dtype=np.int64)
     popcount = np.array([bin(M).count("1") for M in range(1 << n)])
-    top = list(_held_karp(w, np.zeros(n, dtype=np.int64), k, kind == "cycle"))[-1]
+    top = _held_karp(w, np.zeros(n, dtype=np.int64), k, kind == "cycle", _popcounts(n)[0])[-1]
     sets = masks[popcount == k]
     if kind == "cycle":
         top = top + w[:, [(int(B) & -int(B)).bit_length() - 1 for B in sets]]

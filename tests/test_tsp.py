@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import brute_force_optimal_packing
 from conftest import graph_from_matrix, uniform_graph
 from packgraph.graph import (
     HamiltonianCycle,
@@ -21,23 +22,21 @@ from packgraph.graph import (
 )
 from packgraph.matching import max_weight_perfect_matching
 from packgraph.oracles import (
-    _block_columns,
     _require_packing_fit,
     audit_instance,
     best_k_tour_on_set,
-    brute_force_optimal_packing,
     optimal_k_packing,
 )
 from packgraph import tsp
 from packgraph.tsp import (
     _MEMO,
+    _MEMO_BYTES,
     MEMORY_BUDGET,
     OracleCapError,
     _Memo,
     _STEP_BUDGET,
     _held_karp,
-    _masks_by_popcount,
-    _popcount_rank,
+    _popcounts,
     _tour_footprint,
     exact_max_tsp,
     split_cycle_best_offset,
@@ -116,7 +115,7 @@ def test_exact_dps_refuse_above_the_memory_budget_before_allocating(n, call):
     [(18, None, None), (20, None, None), (18, 6, "cycle"), (18, 9, "path"),
      (20, 4, "cycle"), (20, 10, "path")],
 )
-def test_memory_estimate_is_within_twice_the_traced_peak(n, k, kind):
+def test_memory_estimate_is_within_twice_the_traced_peak(monkeypatch, n, k, kind):
     g = generate_instance(n, "metric", seed=0)
     if k is None:
         estimate = _tour_footprint(g).total
@@ -124,9 +123,9 @@ def test_memory_estimate_is_within_twice_the_traced_peak(n, k, kind):
     else:
         estimate = _require_packing_fit(g, k, kind).total
         call = lambda: optimal_k_packing(g, k, kind)  # noqa: E731
-    # the estimate counts the index tables the call builds when none is cached
-    for cached in (_masks_by_popcount, _popcount_rank, _block_columns):
-        cached.cache_clear()
+    # the estimate counts the index tables the call builds when none is
+    # kept: every one of them comes from the memo, here an empty one
+    monkeypatch.setattr(tsp, "_MEMO", _Memo(_MEMO_BYTES))
     peak = _traced_peak(call)
     assert peak <= estimate <= 2 * peak
 
@@ -183,10 +182,10 @@ def _kernel_inputs(draw):
 
 def _assert_kernel_matches_the_reference(w, first, top, anchored, dtype):
     m = len(first)
-    layers = list(_held_karp(np.array(w), np.array(first), top, anchored))
+    masks, rank = _popcounts(m)
+    layers = _held_karp(np.array(w), np.array(first), top, anchored, masks)
     reference = _reference_held_karp(w, first, top, anchored)
     assert len(layers) == len(reference) == top
-    rank = _popcount_rank(m)
     for c, (dp, ref) in enumerate(zip(layers, reference), start=1):
         assert dp.dtype == dtype
         masks = [S for S in range(1 << m) if bin(S).count("1") == c]
@@ -233,6 +232,7 @@ def test_held_karp_steps_split_into_row_runs_match_the_reference(dtype, anchored
 def test_held_karp_reads_kept_positions_and_built_masks_alike(monkeypatch, dtype, anchored):
     # the memo keeps this shape's step tables as flat intp positions; a memo
     # of no bytes keeps nothing, so the call builds raveled boolean masks
+    # (and the popcount tables)
     case = _row_run_case(dtype, anchored)
     key = ("held_karp", 13, 7, anchored)
     _assert_kernel_matches_the_reference(*case)
@@ -240,34 +240,59 @@ def test_held_karp_reads_kept_positions_and_built_masks_alike(monkeypatch, dtype
     empty = _Memo(budget=0)
     monkeypatch.setattr(tsp, "_MEMO", empty)
     _assert_kernel_matches_the_reference(*case)
-    assert empty.misses == 1 and not empty.entries
+    assert empty.misses == 2 and not empty.entries
 
 
-def _kept_bytes():
-    """The bytes of the arrays the memo keeps, counted from the arrays."""
-    return sum(
-        a.nbytes
-        for _, tables in _MEMO.entries.values()
-        for chunk in tables
-        for a in chunk
-        if isinstance(a, np.ndarray)
-    )
+def _kept_bytes(memo):
+    """The bytes of the arrays the memo keeps, counted from the arrays, per
+    kind of table (the first item of a key)."""
+    kept = {}
+    for key, (_, tables) in memo.entries.items():
+        nbytes = sum(a.nbytes for chunk in tables for a in chunk if isinstance(a, np.ndarray))
+        kept[key[0]] = kept.get(key[0], 0) + nbytes
+    return kept
 
 
-def test_memo_keeps_within_its_budget():
+def test_memo_keeps_within_its_budget(monkeypatch):
     # n = 16 at every k, then the tours at m = 15 and 17: the shapes above
     # half the budget (the kernel at m = 16 up to 16 and at m = 17) are built
-    # per call and never kept
+    # per call and never kept; the popcount tables and block columns are
+    # counted with the rest
+    memo = _Memo(_MEMO_BYTES)
+    monkeypatch.setattr(tsp, "_MEMO", memo)
     for kind, ks in (("path", (2, 4, 8, 16)), ("cycle", (4, 8, 16))):
         for k in ks:
             optimal_k_packing(generate_instance(16, "metric", seed=k), k, kind)
-            assert _kept_bytes() == _MEMO.nbytes <= _MEMO.budget
-            assert ("held_karp", 16, 16, kind == "cycle") not in _MEMO.entries
+            kept = _kept_bytes(memo)
+            assert sum(kept.values()) == memo.nbytes <= memo.budget
+            assert kept["popcounts"] >= 8 << 16 and kept["columns"] > 0
+            assert ("held_karp", 16, 16, kind == "cycle") not in memo.entries
     for n in (16, 18):
         exact_max_tsp(generate_instance(n, "metric", seed=0))
-        assert _kept_bytes() == _MEMO.nbytes <= _MEMO.budget
-    assert ("held_karp", 15, 15, False) in _MEMO.entries
-    assert ("held_karp", 17, 17, False) not in _MEMO.entries
+        kept = _kept_bytes(memo)
+        assert sum(kept.values()) == memo.nbytes <= memo.budget
+        assert ("popcounts", n - 1) in memo.entries
+    assert ("held_karp", 15, 15, False) in memo.entries
+    assert ("held_karp", 17, 17, False) not in memo.entries
+
+
+def test_an_exact_call_leaves_at_most_the_memo_budget_allocated(monkeypatch):
+    # the 2^21 popcount tables (20 MB charged) are above half the memo's
+    # budget: the call builds them once, passes them down and drops them
+    memo = _Memo(_MEMO_BYTES)
+    monkeypatch.setattr(tsp, "_MEMO", memo)
+    built = []
+    build = tsp._popcount_tables
+    monkeypatch.setattr(tsp, "_popcount_tables", lambda m: built.append(m) or build(m))
+    g = generate_instance(21, "metric", seed=0)
+    tracemalloc.start()
+    try:
+        optimal_k_packing(g, 3, "cycle")
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert allocated <= _MEMO_BYTES
+    assert built == [21] and ("popcounts", 21) not in memo.entries
 
 
 def test_memo_evicts_the_least_recently_used():
