@@ -225,13 +225,18 @@ def check_weight_class(g: WeightedCompleteGraph, tag: str) -> bool:
 # ---------------------------------------------------------------------------
 # instance generation
 
+# the heaviest weight ``generate_instance`` draws for the general class and
+# for the closure distribution's raw weights
+_MAX_WEIGHT = 100
+# the uniformly drawn classes: each edge weight is drawn from lo..hi
+_UNIFORM = {"general": (0, _MAX_WEIGHT), "zero_one": (0, 1), "one_two": (1, 2)}
+
 
 def generate_instance(
     n: int,
     class_tag: str = "general",
     distribution: str = "default",
     seed: int = 0,
-    max_weight: int = 100,
 ) -> WeightedCompleteGraph:
     """Deterministic random instance of the requested weight class.
 
@@ -242,19 +247,11 @@ def generate_instance(
     if n < 3:
         raise ValueError("n must be at least 3")
     rng = np.random.default_rng(seed)
-    if class_tag == "general":
+    if class_tag in _UNIFORM:
         if distribution not in ("default", "uniform"):
-            raise ValueError(f"unsupported distribution {distribution!r} for general")
-        w = _symmetrize(rng.integers(0, max_weight + 1, size=(n, n)))
-    elif class_tag == "zero_one":
-        if distribution not in ("default", "uniform"):
-            raise ValueError(f"unsupported distribution {distribution!r} for zero_one")
-        w = _symmetrize(rng.integers(0, 2, size=(n, n)))
-    elif class_tag == "one_two":
-        if distribution not in ("default", "uniform"):
-            raise ValueError(f"unsupported distribution {distribution!r} for one_two")
-        w = _symmetrize(rng.integers(1, 3, size=(n, n)))
-        np.fill_diagonal(w, 0)
+            raise ValueError(f"unsupported distribution {distribution!r} for {class_tag}")
+        lo, hi = _UNIFORM[class_tag]
+        w = _symmetrize(rng.integers(lo, hi + 1, size=(n, n)))
     elif class_tag == "metric":
         if distribution in ("default", "euclidean"):
             pts = rng.random((n, 2)) * 1000.0
@@ -263,7 +260,7 @@ def generate_instance(
             w = np.ceil(dist - 1e-9).astype(np.int64)
             np.fill_diagonal(w, 0)
         elif distribution == "closure":
-            raw = _symmetrize(rng.integers(1, max_weight + 1, size=(n, n)))
+            raw = _symmetrize(rng.integers(1, _MAX_WEIGHT + 1, size=(n, n)))
             w = _metric_closure(raw)
         else:
             raise ValueError(f"unsupported distribution {distribution!r} for metric")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import chain, combinations
 from math import comb
 from typing import Optional, Sequence
@@ -48,10 +47,11 @@ from .graph import (
 )
 from .matching import max_weight_perfect_matching  # noqa: F401  (re-exported)
 from .tsp import (  # noqa: F401  (OracleCapError re-exported)
+    _CHUNK,
     OracleCapError,
-    _chunk_size,
     _footprint,
     _held_karp,
+    _keeps,
     _popcounts,
     _require_fit,
     _tour_footprint,
@@ -121,9 +121,9 @@ def best_k_tour_on_set(
     k = len(S)
     _require_block(k, kind)
     w = g.w[np.ix_(S, S)].astype(np.int64)
-    _require_fit(_footprint(k, k, int(w.max())), f"the exact {k}-{kind} on a set")
+    fp = _require_fit(_footprint(k, k, int(w.max())), f"the exact {k}-{kind} on a set")
     masks, rank = _popcounts(k)
-    dps = _held_karp(w, np.zeros(k, dtype=np.int64), k, kind == "cycle", masks)
+    dps = _held_karp(w, np.zeros(k, dtype=np.int64), k, kind == "cycle", masks, fp)
     order, weight = _walk(dps, rank, w, (1 << k) - 1, kind)
     return tuple(int(S[i]) for i in order), weight
 
@@ -188,15 +188,41 @@ def _reached_rank(rank: np.ndarray, n: int, k: int, p: int, masks):
     return rank[masks >> (n - p) // k]
 
 
+def _chunk_size(n: int, k: int, p: int) -> int:
+    """The masks of popcount p per chunk of the partition DP's index tables
+    on n vertices with blocks of k."""
+    return max(1, _CHUNK // max(comb(p - 1, k - 1), n))
+
+
 def _require_packing_fit(g: WeightedCompleteGraph, k: int, kind: str):
-    """The allocations of ``optimal_k_packing(g, k, kind)``.  ValueError
-    where k does not divide n or makes no block of the kind, OracleCapError
-    where they do not fit the memory budget."""
-    require_divisible(g.n, k)
+    """The plan of ``optimal_k_packing(g, k, kind)``: (fp, nbytes), the
+    kernel's ``_footprint`` with the partition DP's share added to its
+    total, and the bytes of the DP's index tables, two ranks per (set,
+    block) entry, which the memo may keep.  ValueError where k does not
+    divide n or makes no block of the kind, OracleCapError where the plan
+    does not fit the memory budget.
+
+    The DP runs after the kernel's steps are freed, so the larger of the
+    two counts.  It takes the block weights (the top layer and the edges
+    that close the cycles); f, an int64 per reached set of each popcount
+    p = k, 2k, ..., n; the block columns, k - 1 int64 per block of a p-set;
+    and one chunk of index tables with the arrays that gather them, 64
+    bytes per (set, block) entry.
+    """
+    n = g.n
+    require_divisible(n, k)
     _require_block(k, kind)
-    fp = _footprint(g.n, k, int(g.w.max()), partition=True)
-    _require_fit(fp, f"the exact {k}-{kind} packing on n={g.n}")
-    return fp
+    fp = _footprint(n, k, int(g.w.max()))
+    layers = range(k, n + 1, k)
+    cols = {p: comb(p - 1, k - 1) for p in layers}  # the blocks of a p-set
+    reach = {p: comb(n - (n - p) // k, p) for p in layers}
+    blocks = 16 * sum(reach[p] * cols[p] for p in layers)
+    chunk = max(min(_chunk_size(n, k, p), reach[p]) * cols[p] for p in layers)
+    arrays = 2 * np.dtype(fp.dtype).itemsize * n * comb(n, k)  # the block weights
+    arrays += 8 * sum(reach[p] + (k - 1) * cols[p] for p in layers)
+    kept = blocks if _keeps(blocks, tsp._MEMO.budget) else 0
+    total = fp.total + kept + max(0, arrays + 64 * chunk - fp.work)
+    return _require_fit(fp._replace(total=total), f"the exact {k}-{kind} packing on n={n}"), blocks
 
 
 def optimal_k_packing(
@@ -227,11 +253,11 @@ def optimal_k_packing(
     n = g.n
     if max_n is not None and n > max_n:
         raise OracleCapError(f"n={n} above max_n={max_n}")
-    fp = _require_packing_fit(g, k, kind)
+    fp, nbytes = _require_packing_fit(g, k, kind)
     w = g.w.astype(np.int64)
     masks, rank = _popcounts(n)
     cols = {p: _block_columns(p, k) for p in range(k, n + 1, k)}
-    dps = _held_karp(w, np.zeros(n, dtype=np.int64), k, kind == "cycle", masks)
+    dps = _held_karp(w, np.zeros(n, dtype=np.int64), k, kind == "cycle", masks, fp)
     # bw[rank[B]]: the best k-cycle (closed at the lowest vertex, where each
     # path starts; rank[1 << v] = v) or k-path weight of each k-set B, in the
     # layers' dtype, which holds the k weights of a cycle
@@ -243,7 +269,7 @@ def optimal_k_packing(
     # f[p // k][_reached_rank(rank, n, k, p, M)]: the best packing of the reached p-set M
     f = [np.zeros(1, dtype=np.int64)]
     for p, at, rest, block in tsp._MEMO.tables(
-        ("partition", n, k), fp.blocks, lambda: _partition_tables(n, k, masks, rank, cols)
+        ("partition", n, k), nbytes, lambda: _partition_tables(n, k, masks, rank, cols)
     ):
         if len(f) == p // k:
             f.append(np.zeros(comb(n - (n - p) // k, p), dtype=np.int64))
@@ -364,35 +390,34 @@ def audit_instance(
     """Run each algorithm, compare against the exact oracle, audit lemmas.
 
     The tour, M*, the size-p matchings and the optima are computed once for
-    the instance and shared by all algorithms and audits.  An optimum that
-    does not fit the memory budget raises OracleCapError before anything
-    else is computed.  An algorithm's own audits are gated
-    (``RatioReport.gated``) only on the weight classes its proof covers;
-    elsewhere they are reported but may fail.  Besides, the kCP optimum is
-    audited against the exact tour (metric classes, where the tour fits the
-    budget) and against M* (even k).
+    the instance and shared by all algorithms and audits.  The optima come
+    first, one per kind: the cycle and path optima of one shape have the
+    same estimate, so one that does not fit the memory budget raises
+    OracleCapError before anything else is computed.  An algorithm's own
+    audits are gated (``RatioReport.gated``) only on the weight classes its
+    proof covers; elsewhere they are reported but may fail.  Besides, the
+    kCP optimum is audited against the exact tour (metric classes, where the
+    tour fits the budget) and against M* (even k).
     """
     specs = [algorithm_spec(name, k) for name in algorithms]
     tour_audit = g.class_tag in METRIC and _tour_footprint(g).fits
     kinds = {spec.kind for spec in specs}
     if tour_audit or (k % 2 == 0 and g.n % 2 == 0):
         kinds.add("cycle")
-    for kind in sorted(kinds):
-        _require_packing_fit(g, k, kind)
+    optimum = {kind: optimal_k_packing(g, k, kind)[1] for kind in sorted(kinds)}
     r = Run(g, k, tsp_solver, matching_override, plan)
-    optimum = cache(lambda kind: optimal_k_packing(g, k, kind)[1])
     global_audits = []
     if tour_audit:
         hw = cycle_weight(g, r.tour(exact_max_tsp).order)
         global_audits.append(
-            AuditEntry("tsp_vs_opt_kcp", F(2 * k * hw), F((2 * k - 1) * optimum("cycle")))
+            AuditEntry("tsp_vs_opt_kcp", F(2 * k * hw), F((2 * k - 1) * optimum["cycle"]))
         )
     if k % 2 == 0 and g.n % 2 == 0:
         mw = matching_weight(g, r.mstar)
-        global_audits.append(AuditEntry("matching_vs_opt_kcp", F(2 * mw), F(optimum("cycle"))))
+        global_audits.append(AuditEntry("matching_vs_opt_kcp", F(2 * mw), F(optimum["cycle"])))
     reports = []
     for spec in specs:
-        opt = optimum(spec.kind)
+        opt = optimum[spec.kind]
         packing, audits = spec(r)
         err = validate_packing(g, packing, k, spec.kind)
         if err:

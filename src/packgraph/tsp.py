@@ -72,16 +72,13 @@ class _Memo:
         self.nbytes = 0
         self.misses = 0
 
-    def keeps(self, nbytes: int) -> bool:
-        return 2 * nbytes <= self.budget
-
     def tables(self, key, nbytes: int, build):
         entry = self.entries.get(key)
         if entry is not None:
             self.entries.move_to_end(key)
             return entry[1]
         self.misses += 1
-        if not self.keeps(nbytes):
+        if not _keeps(nbytes, self.budget):
             return build()
         tables = list(build())
         kept = sum(a.nbytes for chunk in tables for a in chunk if isinstance(a, np.ndarray))
@@ -90,6 +87,11 @@ class _Memo:
         while self.nbytes > self.budget:
             self.nbytes -= self.entries.popitem(last=False)[1][0]
         return tables
+
+
+def _keeps(nbytes: int, budget: int) -> bool:
+    """Whether a memo of ``budget`` bytes keeps tables predicted to take ``nbytes``."""
+    return 2 * nbytes <= budget
 
 
 _MEMO = _Memo(_MEMO_BYTES)
@@ -119,13 +121,15 @@ def _popcounts(m: int):
     return masks, rank
 
 
-def _step_masks(layers: list, top: int, anchored: bool):
+def _step_masks(layers: list, top: int, anchored: bool, flat: bool):
     """For each step c = 2..top of the kernel on m vertices, whose masks by
     popcount are ``layers``: (sources, ends), the (m, C(m, c - 1)) and
     (m, C(m, c)) boolean tables whose row j holds the masks of layer c - 1
     that j extends, those without j (anchored: with a vertex below j), and
     the masks of layer c that end at j.  Each layer's membership tests are
-    computed once and give the next step's sources.
+    computed once and give the next step's sources.  The tables are yielded
+    raveled, which index the raveled layers: as the flat intp positions of
+    their entries with ``flat``, else as the boolean masks themselves.
     """
     m = len(layers) - 1
     bits = 1 << np.arange(m, dtype=np.int32)[:, None]
@@ -149,14 +153,6 @@ def _step_masks(layers: list, top: int, anchored: bool):
     for c in range(2, top + 1):
         sources = ~ends if above is None else above ^ ends
         ends, above = tests(c)
-        yield sources, ends
-
-
-def _step_tables(layers: list, top: int, anchored: bool, flat: bool):
-    """The tables of ``_step_masks`` raveled, which index the raveled
-    layers: as the flat intp positions of their entries with ``flat``,
-    else as the boolean masks themselves."""
-    for sources, ends in _step_masks(layers, top, anchored):
         if flat:
             yield np.flatnonzero(sources), np.flatnonzero(ends)
         else:
@@ -168,12 +164,6 @@ def _step_rows(size: int, m: int) -> int:
     return min(m, max(1, _STEP_BUDGET // size))
 
 
-def _chunk_size(n: int, k: int, p: int) -> int:
-    """The masks of popcount p per chunk of the partition DP's index tables
-    on n vertices with blocks of k."""
-    return max(1, _CHUNK // max(comb(p - 1, k - 1), n))
-
-
 class _Footprint(NamedTuple):
     """What an exact computation allocates, as ``_footprint`` estimates it."""
 
@@ -181,7 +171,7 @@ class _Footprint(NamedTuple):
     sums: int  # entries of the kernel's buffer for the sums of a step
     reduced: int  # entries of the kernel's buffer for a layer's maxima
     steps: int  # bytes of the kernel's step positions, which the memo may keep
-    blocks: int  # bytes of the partition DP's index tables, which the memo may keep
+    work: int  # bytes the kernel's steps take at once, freed with its last layer
     total: int  # bytes of the whole call
 
     @property
@@ -189,10 +179,9 @@ class _Footprint(NamedTuple):
         return self.total <= MEMORY_BUDGET
 
 
-def _footprint(m: int, top: int, max_w: int, partition: bool = False) -> _Footprint:
+def _footprint(m: int, top: int, max_w: int) -> _Footprint:
     """The allocations of the kernel on m vertices up to popcount ``top``
-    with weights up to ``max_w`` and, with ``partition``, of the oracle's
-    partition DP on m vertices with blocks of ``top`` after it.
+    with weights up to ``max_w``, under the budget of the installed ``_MEMO``.
 
     The layers take int16 when m + 1 weights, a tour or a closed block, sum
     to at most 2^15 - 1, int32 when they sum to at most 2^31 - 1, else
@@ -203,70 +192,60 @@ def _footprint(m: int, top: int, max_w: int, partition: bool = False) -> _Footpr
     - the masks of m bits by popcount and their ranks, 4 bytes a mask each,
       and 2 more that list them;
     - the layers, in their dtype;
-    - the index tables that the memo keeps, all of them;
-    - the larger of what the kernel's steps and the partition DP take, as
-      the steps' buffers and tables are freed when the last layer is made.
+    - the step positions, where the memo keeps them;
+    - ``work``, what the kernel's steps take, freed when the last layer is
+      made.
     The step positions are 8 bytes per source and per end: a mask of layer
     c has c of each (anchored, c - 1; both are charged c).  A step takes
     its buffers of sums and maxima, the values it moves, and one layer's
     step tables, built with up to 6 bytes of boolean tables per entry of
-    the largest layer.  The partition DP takes:
-    - the block weights: the top layer and the edges that close the cycles;
-    - f, an int64 per reached set of each popcount p = k, 2k, ..., n, and
-      the block columns, k - 1 int64 per block of a p-set;
-    - one chunk of index tables with the arrays that gather them, 64 bytes
-      per (set, block) entry.
+    the largest layer.  The oracle adds its partition DP's share
+    (``oracles._require_packing_fit``).
     """
     bound = (m + 1) * max_w
     if bound > _INT64_MAX:
         raise ValueError(f"weights up to {max_w} overflow int64 sums of {m + 1} weights")
     dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-    return _shape_footprint(m, top, dtype, partition)
+    return _shape_footprint(m, top, dtype, _MEMO.budget)
 
 
 @lru_cache(maxsize=256)
-def _shape_footprint(m: int, top: int, dtype: type, partition: bool) -> _Footprint:
+def _shape_footprint(m: int, top: int, dtype: type, budget: int) -> _Footprint:
     b = np.dtype(dtype).itemsize
     size = [m * comb(m, c) for c in range(top + 1)]  # entries of layer c
     sums = max([_step_rows(s, m) * s for s in size[1:top]], default=0)
     reduced = max(size[1:top], default=0)
     steps = 8 * sum(2 * c * comb(m, c) for c in range(2, top + 1))
-    kept = steps if _MEMO.keeps(steps) else 0
+    kept = steps if _keeps(steps, budget) else 0
     work = b * (sums + reduced + max(size)) + 6 * max(size)
-    blocks = 0
-    if partition:
-        n, k = m, top
-        layers = range(k, n + 1, k)
-        cols = {p: comb(p - 1, k - 1) for p in layers}  # the blocks of a p-set
-        reach = {p: comb(n - (n - p) // k, p) for p in layers}
-        blocks = 16 * sum(reach[p] * cols[p] for p in layers)  # two ranks per block
-        kept += blocks if _MEMO.keeps(blocks) else 0
-        chunk = max(min(_chunk_size(n, k, p), reach[p]) * cols[p] for p in layers)
-        arrays = 2 * b * size[k] + 8 * sum(reach[p] + (k - 1) * cols[p] for p in layers)
-        work = max(work, arrays + 64 * chunk)
     total = (10 << m) + b * sum(size) + kept + work
-    return _Footprint(dtype, sums, reduced, steps, blocks, total)
+    return _Footprint(dtype, sums, reduced, steps, work, total)
 
 
-def _require_fit(fp: _Footprint, what: str) -> None:
-    """OracleCapError, naming the estimate and the budget, unless ``fp`` fits."""
+def _require_fit(fp: _Footprint, what: str) -> _Footprint:
+    """``fp``; OracleCapError, naming the estimate and the budget, unless it fits."""
     if not fp.fits:
         raise OracleCapError(
             f"{what} needs an estimated {-(-fp.total >> 20)} MB, "
             f"above the memory budget of {MEMORY_BUDGET >> 20} MB"
         )
+    return fp
 
 
-def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool, masks: list):
+def _held_karp(
+    w: np.ndarray, first: np.ndarray, top: int, anchored: bool, masks: list, fp: _Footprint
+):
     """Maximum-weight Held-Karp over the m vertices of the m x m matrix w;
-    ``masks`` lists the m-bit masks by popcount (``_popcounts(m)``).
+    ``masks`` lists the m-bit masks by popcount (``_popcounts(m)``), and
+    ``fp = _footprint(m, top, max_w)``, for weights in w and first up to
+    max_w, is the plan the caller checked against the budget.
 
     Returns the popcount layers 1..top: the layer of popcount c is an
     (m, C(m, c)) array whose column rank[S], for the masks S of popcount c,
     holds dp[j, S], the heaviest path through S ending at j, where a path
     starts at some v with weight first[v] (``anchored``: at v = min(S)).
     States with no path hold the least value of the layers' dtype, which
-    ``_footprint`` picks.  The layers are views of one block allocated per
+    ``fp`` gives.  The layers are views of one block allocated per
     call, which the allocator serves again to the next call of the same
     size without faulting its pages back in.
 
@@ -289,7 +268,6 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool, masks
     of sums and maxima, allocated once per call.
     """
     m = len(first)
-    fp = _footprint(m, top, int(max(w.max(), first.max())))
     unset = np.iinfo(fp.dtype).min
     wt = w.T.astype(fp.dtype)  # wt[j, i] = w[i, j], the edge into the end j
     bounds = list(accumulate((m * comb(m, c) for c in range(1, top + 1)), initial=0))
@@ -299,9 +277,9 @@ def _held_karp(w: np.ndarray, first: np.ndarray, top: int, anchored: bool, masks
     np.fill_diagonal(dps[0], first)  # layer 1 lists 1 << v at column v
     buf = np.empty(fp.sums, dtype=fp.dtype)
     maxima = np.empty(fp.reduced, dtype=fp.dtype)
-    flat = _MEMO.keeps(fp.steps)
+    flat = _keeps(fp.steps, _MEMO.budget)
     tables = _MEMO.tables(
-        ("held_karp", m, top, anchored), fp.steps, lambda: _step_tables(masks, top, anchored, flat)
+        ("held_karp", m, top, anchored), fp.steps, lambda: _step_masks(masks, top, anchored, flat)
     )
     for dp, nxt, (sources, ends) in zip(dps, dps[1:], tables):
         red = maxima[: dp.size].reshape(dp.shape)
@@ -329,14 +307,14 @@ def exact_max_tsp(g: WeightedCompleteGraph) -> HamiltonianCycle:
     each step taking the first predecessor of maximum weight.
     """
     n = g.n
-    _require_fit(_tour_footprint(g), f"the exact tour on n={n}")
+    fp = _require_fit(_tour_footprint(g), f"the exact tour on n={n}")
     if n == 3:
         return HamiltonianCycle((0, 1, 2))
     m = n - 1
     W = g.w[1:, 1:].astype(np.int64)  # W[i, j] = w(i+1, j+1)
     w0 = g.w[0, 1:].astype(np.int64)  # w(0, j+1)
     masks, rank = _popcounts(m)
-    dps = _held_karp(W, w0, m, False, masks)
+    dps = _held_karp(W, w0, m, False, masks, fp)
     mask = (1 << m) - 1
     j = int((dps[-1][:, 0] + w0).argmax())
     order = [j]

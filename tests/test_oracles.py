@@ -28,7 +28,7 @@ from packgraph.oracles import (
     optimal_k_packing,
     run_algorithm,
 )
-from packgraph.tsp import _held_karp, _popcounts, exact_max_tsp
+from packgraph.tsp import _footprint, _held_karp, _popcounts, exact_max_tsp
 
 
 def test_best_k_tour_triangle_path_drops_lightest():
@@ -139,7 +139,8 @@ def _full_table_packing(g, k, kind):
     w = g.w.astype(np.int64)
     masks = np.arange(1 << n, dtype=np.int64)
     popcount = np.array([bin(M).count("1") for M in range(1 << n)])
-    top = _held_karp(w, np.zeros(n, dtype=np.int64), k, kind == "cycle", _popcounts(n)[0])[-1]
+    fp = _footprint(n, k, int(w.max()))
+    top = _held_karp(w, np.zeros(n, dtype=np.int64), k, kind == "cycle", _popcounts(n)[0], fp)[-1]
     sets = masks[popcount == k]
     if kind == "cycle":
         top = top + w[:, [(int(B) & -int(B)).bit_length() - 1 for B in sets]]
@@ -231,7 +232,7 @@ def test_oracle_answers_k_equal_n():
 
 def test_oracle_caps():
     g = generate_instance(24, "general", seed=0)
-    assert _require_packing_fit(g, 3, "cycle").fits  # ~170 MB, below the budget
+    assert _require_packing_fit(g, 3, "cycle")[0].fits  # ~170 MB, below the budget
     with pytest.raises(OracleCapError):
         optimal_k_packing(g, 8, "cycle")
     g = generate_instance(18, "general", seed=0)

@@ -110,6 +110,19 @@ def test_alg8_dominates_general_4pp():
         )
 
 
+@pytest.mark.parametrize("seed, spliced, contracted", [(5, 5427, 5284), (0, 4883, 5258)])
+def test_alg8_returns_the_heavier_of_its_candidates(seed, spliced, contracted):
+    # seed 5 takes the spliced candidate, which the splice audit weighs;
+    # seed 0 takes the contraction, general_4pp's packing
+    g = generate_instance(8, "metric", seed=seed)
+    packing, audits = run_algorithm(g, "alg8", 4)
+    (splice,) = [a.lhs for a in audits if a.name == "spliced_vs_matching"]
+    contraction = pp.general_4pp(g)
+    assert (splice, packing_weight(g, contraction)) == (spliced, contracted)
+    assert packing_weight(g, packing) == max(spliced, contracted)
+    assert (packing == contraction) == (contracted >= spliced)
+
+
 @pytest.mark.filterwarnings("ignore:alg8. input is not metric")
 def test_alg8_contracts_the_matching_override():
     fx = get_fixture("fig3")  # {0, 1} weights: outside alg8's guarantee

@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from brute_force import brute_force_optimal_packing
 from conftest import graph_from_matrix, uniform_graph
+from packgraph.fixtures import get_fixture
 from packgraph.graph import (
     HamiltonianCycle,
     cycle_weight,
@@ -35,6 +35,7 @@ from packgraph.tsp import (
     OracleCapError,
     _Memo,
     _STEP_BUDGET,
+    _footprint,
     _held_karp,
     _popcounts,
     _tour_footprint,
@@ -82,19 +83,27 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+def _metric(n):
+    return lambda: generate_instance(n, "metric", seed=0)
+
+
 @pytest.mark.parametrize(
-    "n, call",
+    "graph, call, mb",
     [
-        (23, exact_max_tsp),
-        (22, lambda g: optimal_k_packing(g, 11, "path")),
-        (24, lambda g: optimal_k_packing(g, 8, "cycle")),
+        (_metric(23), exact_max_tsp, 394),
+        (_metric(22), lambda g: optimal_k_packing(g, 11, "path"), 316),
+        (_metric(24), lambda g: optimal_k_packing(g, 8, "cycle"), 509),
+        # fig2's weights (<= 2) give it int16 layers, its shape's smallest
+        # estimate; ``solve --in fig2 --oracle`` falls back to the fixture's
+        # scripted optimum on this refusal
+        (lambda: get_fixture("fig2").graph, lambda g: optimal_k_packing(g, 5, "cycle"), 342),
     ],
-    ids=["tour-n23", "oracle-n22-k11-path", "oracle-n24-k8-cycle"],
+    ids=["tour-n23", "oracle-n22-k11-path", "oracle-n24-k8-cycle", "oracle-fig2-n25-k5-cycle"],
 )
-def test_exact_dps_refuse_above_the_memory_budget_before_allocating(n, call):
+def test_exact_dps_refuse_above_the_memory_budget_before_allocating(graph, call, mb):
     # the first sizes refused: the tour fits at n = 22, every k at n = 21,
     # k = 2 at n = 22 and k <= 6 at n = 24
-    g = generate_instance(n, "metric", seed=0)
+    g = graph()
     refusals = []
 
     def refused():
@@ -105,9 +114,7 @@ def test_exact_dps_refuse_above_the_memory_budget_before_allocating(n, call):
     assert _traced_peak(refused) < 1 << 20
     budget = MEMORY_BUDGET >> 20
     (message,) = refusals
-    estimate = re.search(rf"needs an estimated (\d+) MB, above the memory budget of {budget} MB",
-                         message)
-    assert estimate and int(estimate[1]) > budget, message
+    assert f"needs an estimated {mb} MB, above the memory budget of {budget} MB" in message
 
 
 @pytest.mark.parametrize(
@@ -121,7 +128,7 @@ def test_memory_estimate_is_within_twice_the_traced_peak(monkeypatch, n, k, kind
         estimate = _tour_footprint(g).total
         call = lambda: exact_max_tsp(g)  # noqa: E731
     else:
-        estimate = _require_packing_fit(g, k, kind).total
+        estimate = _require_packing_fit(g, k, kind)[0].total
         call = lambda: optimal_k_packing(g, k, kind)  # noqa: E731
     # the estimate counts the index tables the call builds when none is
     # kept: every one of them comes from the memo, here an empty one
@@ -183,7 +190,8 @@ def _kernel_inputs(draw):
 def _assert_kernel_matches_the_reference(w, first, top, anchored, dtype):
     m = len(first)
     masks, rank = _popcounts(m)
-    layers = _held_karp(np.array(w), np.array(first), top, anchored, masks)
+    fp = _footprint(m, top, max(max(map(max, w)), max(first)))
+    layers = _held_karp(np.array(w), np.array(first), top, anchored, masks, fp)
     reference = _reference_held_karp(w, first, top, anchored)
     assert len(layers) == len(reference) == top
     for c, (dp, ref) in enumerate(zip(layers, reference), start=1):
@@ -293,6 +301,14 @@ def test_an_exact_call_leaves_at_most_the_memo_budget_allocated(monkeypatch):
         tracemalloc.stop()
     assert allocated <= _MEMO_BYTES
     assert built == [21] and ("popcounts", 21) not in memo.entries
+
+
+def test_estimate_follows_the_installed_memo(monkeypatch):
+    # the tour's step positions at m = 15 (3.75 MB) are charged only where
+    # the memo keeps them, whichever memo was installed at the first estimate
+    kept = _footprint(15, 15, 100)
+    monkeypatch.setattr(tsp, "_MEMO", _Memo(budget=0))
+    assert kept.total - _footprint(15, 15, 100).total == kept.steps > 0
 
 
 def test_memo_evicts_the_least_recently_used():
