@@ -17,13 +17,15 @@ side's median [Q1, Q3] over the pairs, the ratio of the medians and the
 pairs the change wins; a run that fails any operation is counted.  Each run
 writes a new file, rewritten after every workload.
 
-The per-call table times the exact DPs alone (``CALL_SCRIPT``) in
-``--pairs`` pairs of subprocesses, one per checkout, the parent first in
-even pairs.  Each subprocess times every call on ``CALL_REPEATS`` metric
-instances, after one call that builds the index tables the later ones find;
-the table holds each side's median [Q1, Q3] over all these times, in ms, and
-their ratio.  The memo keeps popcount tables up to 18 bits, so the tour
-at n = 20 and the oracle at n = 21 rebuild theirs on every call.
+The per-call table times the exact DPs and the matching engine alone
+(``CALL_SCRIPT``) in ``--pairs`` pairs of subprocesses, one per checkout,
+the parent first in even pairs.  Each subprocess times every call on
+``CALL_REPEATS`` metric instances, after one call that builds the index
+tables the later ones find; the table holds each side's median [Q1, Q3]
+over all these times, in ms, their ratio, and the pairs the change wins
+(its median of a pair's calls below the parent's).  The memo keeps popcount
+tables up to 18 bits, so the tour at n = 20 and the oracle at n = 21
+rebuild theirs on every call.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ CALL_REPEATS = 5
 CALL_SCRIPT = """
 import json, sys, time
 from packgraph.graph import generate_instance
+from packgraph.matching import max_weight_matching_of_size, max_weight_perfect_matching
 from packgraph.oracles import optimal_k_packing
 from packgraph.tsp import exact_max_tsp
 
@@ -55,6 +58,8 @@ CALLS = {
     "optimal_k_packing(n=14, k=7, cycle)": (14, lambda g: optimal_k_packing(g, 7, "cycle")),
     "optimal_k_packing(n=12, k=4, path)": (12, lambda g: optimal_k_packing(g, 4, "path")),
     "optimal_k_packing(n=21, k=3, cycle)": (21, lambda g: optimal_k_packing(g, 3, "cycle")),
+    "max_weight_perfect_matching(n=80)": (80, max_weight_perfect_matching),
+    "max_weight_matching_of_size(n=80, p=20)": (80, lambda g: max_weight_matching_of_size(g, 20)),
 }
 out = {}
 for name, (n, call) in CALLS.items():
@@ -88,17 +93,21 @@ def time_calls(checkout: Path) -> dict:
 
 def per_call(parent: Path, change: Path, pairs: int) -> dict:
     """Per call of ``CALL_SCRIPT``: each side's [median, Q1, Q3] in ms over
-    ``pairs`` alternating subprocesses, and the ratio of the medians."""
-    times = {"parent": {}, "change": {}}
+    ``pairs`` alternating subprocesses, the ratio of the medians and the
+    pairs the change wins."""
+    times = {"parent": {}, "change": {}}  # side -> name -> one list per pair
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             for name, ts in time_calls(parent if side == "parent" else change).items():
-                times[side].setdefault(name, []).extend(t * 1e3 for t in ts)
+                times[side].setdefault(name, []).append([t * 1e3 for t in ts])
     table = {}
-    for name in times["parent"]:
-        par, chg = quartiles(times["parent"][name]), quartiles(times["change"][name])
-        table[name] = {"parent": par, "change": chg, "ratio": float(f"{chg[0] / par[0]:.4g}")}
+    for name, par_pairs in times["parent"].items():
+        chg_pairs = times["change"][name]
+        par, chg = (quartiles([t for ts in side for t in ts]) for side in (par_pairs, chg_pairs))
+        wins = sum(statistics.median(c) < statistics.median(p) for p, c in zip(par_pairs, chg_pairs))
+        table[name] = {"parent": par, "change": chg, "ratio": float(f"{chg[0] / par[0]:.4g}"),
+                       "wins": wins}
     return {"pairs": pairs, "repeats": CALL_REPEATS, "unit": "ms", "calls": table}
 
 

@@ -94,15 +94,18 @@ class Run:
     tsp_solver: TspSolver = exact_max_tsp
     matching_override: Optional[Matching] = None
     plan: Optional[EdgeGroupPlan] = None
-    _tours: dict = field(default_factory=dict)
-    _matchings: dict = field(default_factory=dict)
+    _computed: dict = field(default_factory=dict)
+
+    def _once(self, fn, *args):
+        """``fn(g, *args)``, computed on the first call with these arguments."""
+        key = (fn, *args)
+        if key not in self._computed:
+            self._computed[key] = fn(self.g, *args)
+        return self._computed[key]
 
     def tour(self, solver=None) -> HamiltonianCycle:
         """The tour of ``solver``, by default the run's TSP solver."""
-        solver = solver or self.tsp_solver
-        if solver not in self._tours:
-            self._tours[solver] = solver(self.g)
-        return self._tours[solver]
+        return self._once(solver or self.tsp_solver)
 
     @cached_property
     def mstar(self) -> Matching:
@@ -121,9 +124,12 @@ class Run:
 
     def matching_of_size(self, p: int) -> Matching:
         """A maximum-weight matching of exactly p edges."""
-        if p not in self._matchings:
-            self._matchings[p] = max_weight_matching_of_size(self.g, p)
-        return self._matchings[p]
+        return self._once(max_weight_matching_of_size, p)
+
+    def contraction(self, closed: bool) -> tuple:
+        """``_contract`` of the run's M*: the matched blocks (4-cycles if
+        ``closed``, else 4-paths) and the weight of the super-matching."""
+        return self._once(_contract, self.matching, closed)
 
 
 @dataclass(frozen=True)
@@ -434,7 +440,7 @@ def _contract(g: WeightedCompleteGraph, mstar: Matching, closed: bool):
 @_algorithm("alg6", "cycle", range(4, 5), dict.fromkeys(WEIGHT_CLASSES, lambda k: F(3, 4)))
 def ALG6(r: Run):
     g, mstar = r.g, r.matching
-    blocks, super_w = _contract(g, mstar, closed=False)
+    blocks, super_w = r.contraction(closed=False)
     C4, P4 = KCyclePacking(4, blocks), KPathPacking(4, blocks)
     mw = matching_weight(g, mstar)
     return C4, [
@@ -458,7 +464,7 @@ def alg6_general_4cp(
 @_algorithm("alg7", "cycle", range(4, 5),
             {"metric": lambda k: F(5, 6), "one_two": lambda k: F(7, 8)})
 def ALG7(r: Run):
-    cycles, _ = _contract(r.g, r.matching, closed=True)
+    cycles, _ = r.contraction(closed=True)
     used = {frozenset(e) for c in cycles for e in zip(c, c[1:] + c[:1])}
     contains = all(frozenset(e) in used for e in r.matching.edges)
     return KCyclePacking(4, cycles), [AuditEntry("contains_matching_edges", F(int(contains)), F(1))]

@@ -196,17 +196,20 @@ def is_metric(g: WeightedCompleteGraph):
     """Triangle-inequality check.
 
     Returns ``(True, None)`` or ``(False, (u, x, v))`` where
-    ``w(u,v) > w(u,x) + w(x,v)``.  Sums are taken in uint64, where two
-    non-negative int64 weights cannot overflow.
+    ``w(u,v) > w(u,x) + w(x,v)``: the first such v > u of the first such u,
+    with the first x of least ``w(u,x) + w(x,v)``.  Sums are taken in uint64,
+    where two non-negative int64 weights cannot overflow.
     """
     w = g.w.astype(np.uint64)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            sums = w[u, :] + w[:, v]
-            sums[u] = sums[v] = np.iinfo(np.uint64).max
-            x = int(np.argmin(sums))
-            if w[u, v] > sums[x]:
-                return False, (u, x, v)
+    for u in range(g.n - 1):
+        # sums[x, v - u - 1] = w(u,x) + w(x,v) for v > u, barring x = u and x = v
+        sums = w[u, :, None] + w[:, u + 1 :]
+        sums[u] = np.iinfo(np.uint64).max
+        np.fill_diagonal(sums[u + 1 :], np.iinfo(np.uint64).max)
+        bad = np.flatnonzero(w[u, u + 1 :] > sums.min(axis=0))
+        if bad.size:
+            c = int(bad[0])
+            return False, (u, int(sums[:, c].argmin()), u + 1 + c)
     return True, None
 
 

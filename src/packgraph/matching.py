@@ -25,6 +25,7 @@ tests check the engine against an independent subset DP
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from .graph import Matching, WeightedCompleteGraph, make_matching
@@ -116,6 +117,7 @@ def _blossom(w2: list) -> tuple:
     """
     n = len(w2)
     nb = 2 * n
+    vertices = range(n)
     dual = [max(map(max, w2), default=0) // 2] * n
     mate = [-1] * n
     label = [0] * nb
@@ -139,7 +141,7 @@ def _blossom(w2: list) -> tuple:
     def leaves(b):
         # networkx's order: a stack of sub-blossoms, popped from the end
         out = []
-        stack = list(childs[b])
+        stack = [b]
         while stack:
             t = stack.pop()
             if t >= n:
@@ -157,10 +159,7 @@ def _blossom(w2: list) -> tuple:
             labeledge[w] = labeledge[b] = (v, w) if v >= 0 else None
             bestedge[w] = bestedge[b] = None
             if t == 1:
-                if b >= n:
-                    queue.extend(leaves(b))
-                else:
-                    queue.append(b)
+                queue.extend(leaves(b))
                 return
             v = base[b]
             w, t = mate[v], 1
@@ -218,40 +217,31 @@ def _blossom(w2: list) -> tuple:
             if label[inblossom[x]] == 2:
                 queue.append(x)
             inblossom[x] = b
-        # Least-slack edge from b to each other S-blossom.
+        # (slack, least-slack edge) from b to each other S-blossom, in the
+        # order they are first seen; a sub-blossom's own list, else its leaves
+        # against every vertex outside b.
         bestto = {}
         for s in path:
-            if s >= n and mybest[s] is not None:
-                nblist = mybest[s]
-                mybest[s] = None
-            else:
-                nblist = [
-                    (x, y) for x in (leaves(s) if s >= n else (s,)) for y in range(n) if x != y
-                ]
-            for k in nblist:
+            cand, mybest[s] = mybest[s], None
+            if cand is None:
+                cand = [(x, y) for x in leaves(s) for y in vertices if inblossom[y] != b]
+            for k in cand:
                 i, j = k
                 if inblossom[j] == b:
                     i, j = j, i
                 bj = inblossom[j]
                 if bj != b and label[bj] == 1:
-                    old = bestto.get(bj)
-                    if old is None or dual[i] + dual[j] - w2[i][j] < slack(old):
-                        bestto[bj] = k
+                    ks = dual[i] + dual[j] - w2[i][j]
+                    if bj not in bestto or ks < bestto[bj][0]:
+                        bestto[bj] = ks, k
             bestedge[s] = None
-        mybest[b] = list(bestto.values())
-        best = None
-        for k in mybest[b]:
-            ks = slack(k)
-            if best is None or ks < best_slack:
-                best, best_slack = k, ks
-        bestedge[b] = best
+        mybest[b] = [k for _, k in bestto.values()]
+        bestedge[b] = min(bestto.values(), key=itemgetter(0), default=(0, None))[1]
 
     def expand_blossom(b, endstage):
         for s in childs[b]:
             parent[s] = -1
-            if s < n:
-                inblossom[s] = s
-            elif endstage and zdual[s] == 0:
+            if s >= n and endstage and zdual[s] == 0:
                 yield (s, endstage)
             else:
                 for x in leaves(s):
@@ -293,12 +283,9 @@ def _blossom(w2: list) -> tuple:
                 j += jstep
                 if label[bv] == 1:
                     continue
-                if bv >= n:
-                    for v in leaves(bv):
-                        if label[v]:
-                            break
-                else:
-                    v = bv
+                for v in leaves(bv):
+                    if label[v]:
+                        break
                 if label[v]:
                     label[v] = 0
                     label[mate[base[bv]]] = 0
@@ -359,7 +346,6 @@ def _blossom(w2: list) -> tuple:
                     _trampoline(augment_blossom, bt, j)
                 mate[j] = s
 
-    vertices = range(n)
     while True:
         # One stage: grow alternating trees until an augmenting path is found.
         label[:] = [0] * nb
@@ -491,16 +477,8 @@ def max_weight_matching_of_size(g: WeightedCompleteGraph, p: int) -> Matching:
     if p == 0:
         return Matching(())
     n, d = g.n, g.n - 2 * p
-    if d == 0:
-        return max_weight_perfect_matching(g)
     big = 1 + g.total_weight()
-    size = n + d
-    w = [[0] * size for _ in range(size)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            w[u][v] = w[v][u] = g.weight(u, v)
-        for a in range(n, size):
-            w[u][a] = w[a][u] = big
+    w = [row + [big] * d for row in g.w.tolist()] + [[big] * n + [0] * d for _ in range(d)]
     edges = max_weight_perfect_matching_matrix(w)
     real = [e for e in edges if e[1] < n]
     if len(real) != p:

@@ -19,7 +19,6 @@ from .cycle_packing import (
     Run,
     TspSolver,
     _algorithm,
-    _contract,
     _splice_matching,
     _split_tour,
 )
@@ -82,7 +81,7 @@ def metric_kpp_combined(
 
 @_algorithm("general4pp", "path", range(4, 5), dict.fromkeys(WEIGHT_CLASSES, lambda k: F(3, 4)))
 def GENERAL_4PP(r: Run):
-    return KPathPacking(4, _contract(r.g, r.matching, closed=False)[0]), []
+    return KPathPacking(4, r.contraction(closed=False)[0]), []
 
 
 def general_4pp(
@@ -95,7 +94,7 @@ def general_4pp(
 @_algorithm("alg8", "path", range(4, 5), dict.fromkeys(METRIC, lambda k: F(14, 17)))
 def ALG8(r: Run):
     g = r.g
-    P4 = KPathPacking(4, _contract(g, r.matching, closed=False)[0])
+    P4 = KPathPacking(4, r.contraction(closed=False)[0])
     mm = r.matching_of_size(g.n // 4)
     iso = sorted(set(range(g.n)) - mm.covered())
     paths = []

@@ -1,9 +1,10 @@
 """Brute-force references the tests check the library against.
 
 Each shares no code with what it checks: ``brute_force_optimal_packing``
-enumerates partitions for the exact oracle's subset DP, and
+enumerates partitions for the exact oracle's subset DP,
 ``brute_force_matching`` is a subset DP over free vertices for the blossom
-matching engine.
+matching engine, and ``brute_force_metric_violation`` walks every triple for
+the vectorised triangle check.
 """
 
 from functools import cache
@@ -83,3 +84,16 @@ def brute_force_matching(g: WeightedCompleteGraph, p: int) -> Matching:
         return top
 
     return make_matching(best((1 << n) - 1, p)[1])
+
+
+def brute_force_metric_violation(g: WeightedCompleteGraph):
+    """The triple ``is_metric`` reports, one triple at a time: the first u,
+    then the first v > u, with w(u,v) > w(u,x) + w(x,v) for the first x of
+    least w(u,x) + w(x,v); None when every triangle holds."""
+    w = g.w.tolist()
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            x = min((x for x in range(g.n) if x not in (u, v)), key=lambda x: w[u][x] + w[x][v])
+            if w[u][v] > w[u][x] + w[x][v]:
+                return u, x, v
+    return None

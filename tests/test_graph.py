@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import brute_force_metric_violation
 from conftest import graph_from_matrix, uniform_graph
 from packgraph.fixtures import get_fixture
 from packgraph.graph import (
@@ -111,6 +112,26 @@ def test_is_metric_near_int64_max():
         [[0, top, 2**61, 2**61], [top, 0, 2**61, 2**61], [2**61, 2**61, 0, 1], [2**61, 2**61, 1, 0]]
     )
     assert is_metric(g) == (False, (0, 2, 1))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_metric_reports_the_brute_force_triple(data):
+    n = data.draw(st.integers(3, 12), label="n")
+    if data.draw(st.booleans(), label="metric"):
+        w = generate_instance(n, "metric", seed=data.draw(st.integers(0, 10**6))).w.copy()
+        for u, v, bump in data.draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 300)), max_size=3)):
+            if u != v:
+                w[u, v] = w[v, u] = w[u, v] + bump
+    else:
+        hi = data.draw(st.sampled_from((1, 4, 100, 2**62)), label="hi")
+        flat = data.draw(st.lists(st.integers(0, hi), min_size=n * n, max_size=n * n))
+        w = np.triu(np.array(flat, dtype=np.int64).reshape(n, n), 1)
+        w = w + w.T
+    g = graph_from_matrix(w)
+    triple = brute_force_metric_violation(g)
+    assert is_metric(g) == (triple is None, triple)
 
 
 def test_generate_instance_classes():

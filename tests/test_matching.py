@@ -151,6 +151,20 @@ def test_engine_equals_networkx_on_dummy_vertex_matrices(n, seed, klass):
         assert engine(w) == _networkx_matching(w), (p, len(w))
 
 
+@pytest.mark.parametrize("klass", ["metric", "general"])
+@pytest.mark.parametrize("seed", range(3))
+def test_engine_equals_networkx_on_blossom_heavy_dummy_matrices(klass, seed):
+    # at n = 40 the p = n/4 matrix (60 vertices) makes 70-144 blossoms
+    g = generate_instance(40, klass, seed=seed)
+    engine = matching.max_weight_perfect_matching_matrix
+    for p in (10, 16):
+        with mock.patch.object(matching, "max_weight_perfect_matching_matrix", wraps=engine) as spy:
+            max_weight_matching_of_size(g, p)
+        ((w,), _) = spy.call_args
+        assert len(w) == 80 - 2 * p
+        assert engine(w) == _networkx_matching(w), p
+
+
 def graph_from_symmetric(a):
     upper = np.triu(a, 1)
     return graph_from_matrix(upper + upper.T)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packgraph import cycle_packing as cp
+from packgraph import matching
 from packgraph import path_packing as pp
 from packgraph import reductions as red
 from packgraph.fixtures import get_fixture
@@ -162,6 +163,21 @@ def test_audit_instance_computes_each_size_p_matching_once(monkeypatch):
     g = generate_instance(12, "metric", seed=0)
     audit_instance(g, 4, ["alg8", "kpp-combined", "alg5"])
     assert calls == [3]
+
+
+def test_audit_instance_contracts_m_star_once(monkeypatch):
+    sizes = []
+    real = matching._blossom
+
+    def counted(w2):
+        sizes.append(len(w2))
+        return real(w2)
+
+    monkeypatch.setattr(matching, "_blossom", counted)
+    g = generate_instance(16, "metric", seed=0)
+    audit_instance(g, 4, ["alg6", "general4pp", "alg8", "alg7"])
+    # M*, the super-matrix of paths, M_{n/4}'s dummy matrix, the one of cycles
+    assert sizes == [16, 8, 24, 8]
 
 
 def test_readme_table_lists_the_registry():
