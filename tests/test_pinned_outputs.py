@@ -7,8 +7,13 @@ stdout and exit code of ``solve --oracle`` on each fixture and of one
 ``bench``.  Past n = 12, where the exact DPs run their largest layers, one
 digest per n covers the ``exact_max_tsp`` tours (n = 13..18) and one per n,
 kind and k the ``optimal_k_packing`` packings (n = 13..16, every k that
-divides n), on the four classes at seed 0.  A refactor that keeps every
-packing, tie-breaks included, keeps every digest.  After a deliberate
+divides n), on the four classes at seed 0.  Further digests cover, per
+fixture, the exit code, stdout and written files of ``fixtures``; the exit
+code, stdout and stderr of a list of usage errors; and, per n = 25..40, the
+matching engine's ``(mate, dual, blossoms)`` on the four classes at seed 0,
+for the full matrix and for the dummy-vertex matrix of the size-n/4
+matching.  A refactor that keeps every packing, tie-breaks included, keeps
+every digest.  After a deliberate
 change of output, rewrite the file with
 
     python tests/test_pinned_outputs.py --record
@@ -19,6 +24,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -28,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from packgraph.cli import main  # noqa: E402
 from packgraph.fixtures import FIXTURE_IDS, get_fixture  # noqa: E402
 from packgraph.graph import generate_instance  # noqa: E402
+from packgraph.matching import _blossom  # noqa: E402
 from packgraph.oracles import ALGORITHMS, optimal_k_packing, run_algorithm  # noqa: E402
 from packgraph.tsp import exact_max_tsp  # noqa: E402
 
@@ -40,6 +47,18 @@ LARGE_TOUR_N = range(13, 19)
 LARGE_ORACLE_N = range(13, 17)
 BENCH = ("bench", "--k", "4", "--class", "one_two", "--n", "8", "--count", "3",
          "--algos", "alg1,alg2,alg4,alg5,kpp-combined,alg6,alg7,alg8,general4pp,reduce12")
+ENGINE_N = range(25, 41)
+# run in a scratch directory holding g.pg (gen --n 8 --class metric --seed 1)
+# and p.txt, a plan file
+USAGE_ERRORS = (
+    ("solve", "--in", "missing.pg", "--algo", "alg7", "--k", "4"),
+    ("solve", "--in", "g.pg", "--algo", "alg7", "--k", "4", "--override-matching", "paper"),
+    ("solve", "--in", "g.pg", "--algo", "alg5", "--k", "4", "--override-plan", "p.txt"),
+    ("solve", "--in", "g.pg", "--algo", "alg7", "--k", "4", "--override-matching", "missing.txt"),
+    ("gen", "--n", "8", "--k", "0"),
+    ("gen", "--n", "10", "--k", "4"),
+    ("bench", "--k", "4", "--n", "8", "--count", "0", "--algos", "alg7"),
+)
 
 
 def _blocks(packing) -> list:
@@ -64,11 +83,38 @@ def _run(g, name: str, k: int) -> list:
     return _blocks(packing) + [[[a.name, str(a.lhs), str(a.rhs)] for a in audits]]
 
 
-def _cli(argv) -> list:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _cli(argv, stderr: bool = False) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return [code, out.getvalue()]
+    return [code, out.getvalue()] + ([err.getvalue()] if stderr else [])
+
+
+def _fixture_files(fid: str) -> list:
+    """``fixtures --id fid``: exit code, stdout and the files it writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run = _cli(("fixtures", "--id", fid, "--out-dir", tmp))
+        return run + [[[p.name, p.read_text()] for p in sorted(Path(tmp).iterdir())]]
+
+
+def _usage_errors() -> dict:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        _cli(("gen", "--n", "8", "--class", "metric", "--seed", "1", "--out", "g.pg"))
+        Path("p.txt").write_text("0 : 2 3\n")
+        return {" ".join(argv): _digest(_cli(argv, stderr=True)) for argv in USAGE_ERRORS}
+
+
+def _engine_runs(n: int) -> list:
+    """The engine's (mate, dual, blossoms) on the doubled weights of each
+    class's instance at seed 0 and of its size-n/4 dummy-vertex matrix."""
+    runs = []
+    for klass in CLASSES:
+        g = generate_instance(n, klass, seed=0)
+        d, big = n - 2 * (n // 4), 1 + g.total_weight()
+        dummy = [row + [big] * d for row in g.w.tolist()] + [[big] * n + [0] * d] * d
+        for w in (g.w.tolist(), dummy):
+            runs.append(_blossom([[2 * x for x in row] for row in w]))
+    return runs
 
 
 def _solve_argvs():
@@ -109,6 +155,12 @@ def compute() -> dict:
                         digests[f"optimal_k_packing {kind} n={n} k={k}"] = _digest(packings)
         for argv in list(_solve_argvs()) + [BENCH]:
             digests[" ".join(argv)] = _digest(_cli(argv))
+        for fid in FIXTURE_IDS:
+            digests[f"fixtures --id {fid} --out-dir DIR"] = _digest(_fixture_files(fid))
+        for argv, digest in _usage_errors().items():
+            digests[f"usage error: {argv}"] = digest
+        for n in ENGINE_N:
+            digests[f"_blossom n={n}"] = _digest(_engine_runs(n))
     return digests
 
 
