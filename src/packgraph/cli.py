@@ -24,7 +24,9 @@ from .graph import (
     load_instance,
     make_matching,
     packing_weight,
+    require_divisible,
     save_instance,
+    text_lines,
 )
 from .oracles import (
     ALGORITHMS,
@@ -48,7 +50,7 @@ def _file_errors(what: str):
     try:
         yield
     except OSError as exc:
-        raise SystemExit2(f"{what}: {exc.strerror or exc}") from None
+        raise ValueError(f"{what}: {exc.strerror or exc}") from None
 
 
 def _read_text(path: str, option: str) -> str:
@@ -70,9 +72,9 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 def cmd_gen(args) -> int:
     if args.k is not None and args.k < 1:
-        raise SystemExit2(f"--k must be at least 1, got {args.k}")
+        raise ValueError(f"--k must be at least 1, got {args.k}")
     if args.k is not None and args.n % args.k != 0:
-        raise SystemExit2(f"n={args.n} not divisible by k={args.k}")
+        raise ValueError(f"n={args.n} not divisible by k={args.k}")
     g = generate_instance(
         n=args.n,
         class_tag=getattr(args, "class"),
@@ -81,10 +83,6 @@ def cmd_gen(args) -> int:
     )
     _write_out(save_instance(g), args.out)
     return 0
-
-
-class SystemExit2(Exception):
-    """Usage error surfaced with exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +96,8 @@ def _load_input(source: str):
         return fx.graph, fx
     except ValueError:
         pass
-    path = Path(source)
-    if not path.exists():
-        raise SystemExit2(f"no such instance file or fixture: {source}")
+    if not Path(source).exists():
+        raise ValueError(f"no such instance file or fixture: {source}")
     return load_instance(_read_text(source, "--in")), None
 
 
@@ -109,38 +106,43 @@ def _indices(tokens, stop: int, what: str) -> list:
     ids = [int(t) for t in tokens]
     for i in ids:
         if not 0 <= i < stop:
-            raise SystemExit2(f"{what} {i} outside 0..{stop - 1}")
+            raise ValueError(f"{what} {i} outside 0..{stop - 1}")
     return ids
 
 
 def _parse_matching_file(path: str, n: int):
-    edges = []
-    for line in _read_text(path, "--override-matching").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        u, v = _indices(line.split(), n, f"{path}: vertex id")
-        edges.append((u, v))
-    return make_matching(edges)
+    """Each line: the two vertex ids of a matching edge."""
+    lines = text_lines(_read_text(path, "--override-matching"))
+    return make_matching(_indices(line.split(), n, f"{path}: vertex id") for line in lines)
 
 
 def _parse_plan_file(path: str, matching, n: int):
     """Each line: edge indices into the matching, then ':', then the
-    isolated vertex id(s) of the group."""
+    isolated vertex ids of the group."""
+    if matching is None:
+        raise ValueError("--override-plan needs --override-matching")
     groups = []
     iso = []
-    for line in _read_text(path, "--override-plan").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in text_lines(_read_text(path, "--override-plan")):
         left, right = line.split(":")
         idx = _indices(left.split(), matching.size, f"{path}: edge index")
         groups.append(tuple(matching.edges[i] for i in idx))
         ids = _indices(right.split(), n, f"{path}: vertex id")
         if not ids:
-            raise SystemExit2(f"{path}: a group without an isolated vertex")
-        iso.append(ids[0] if len(ids) == 1 else tuple(ids))
+            raise ValueError(f"{path}: a group without an isolated vertex")
+        iso.append(tuple(ids))
     return EdgeGroupPlan(groups=tuple(groups), isolated=tuple(iso))
+
+
+def _override(value: Optional[str], what: str, paper, parse):
+    """The ``what`` override that an ``--override-*`` value names: none
+    without a value, ``paper`` (the input fixture's) for "paper", else
+    ``parse`` of the file."""
+    if value != "paper":
+        return parse(value) if value else None
+    if paper is None:
+        raise ValueError(f"no paper {what} override for this input")
+    return paper
 
 
 def _fraction_str(fr: Fraction) -> str:
@@ -152,28 +154,17 @@ def cmd_solve(args) -> int:
     algo = args.algo
     k = args.k if args.k is not None else (fx.k if fx else None)
     if k is None:
-        raise SystemExit2("--k is required for file inputs")
+        raise ValueError("--k is required for file inputs")
     kind = algorithm_spec(algo, k).kind
-    if g.n % k != 0:
-        raise SystemExit2(f"n={g.n} not divisible by k={k}")
-    matching_override = None
-    plan = None
-    if args.override_matching:
-        if args.override_matching == "paper":
-            if fx is None or fx.matching_override is None:
-                raise SystemExit2("no paper matching override for this input")
-            matching_override = fx.matching_override
-        else:
-            matching_override = _parse_matching_file(args.override_matching, g.n)
-    if args.override_plan:
-        if args.override_plan == "paper":
-            if fx is None or fx.plan_override is None:
-                raise SystemExit2("no paper plan override for this input")
-            plan = fx.plan_override
-        else:
-            if matching_override is None:
-                raise SystemExit2("--override-plan needs --override-matching")
-            plan = _parse_plan_file(args.override_plan, matching_override, g.n)
+    require_divisible(g.n, k)
+    matching_override = _override(
+        args.override_matching, "matching", fx and fx.matching_override,
+        lambda path: _parse_matching_file(path, g.n),
+    )
+    plan = _override(
+        args.override_plan, "plan", fx and fx.plan_override,
+        lambda path: _parse_plan_file(path, matching_override, g.n),
+    )
     # the tour solver is passed at call time, so that a wrapper bound to
     # the name exact_max_tsp sees every call
     if args.oracle:
@@ -206,7 +197,7 @@ def cmd_solve(args) -> int:
         "kind": kind,
         "weight": packing_weight(g, packing),
         "denom": g.denom,
-        "packing": _packing_blocks(packing),
+        "packing": [list(b) for b in packing.blocks],
     }
     if args.oracle:
         doc["oracle_weight"] = rep.oracle_weight
@@ -258,11 +249,6 @@ def _fixture_oracle_report(g, fx, algo, k, matching_override, plan, iid):
     )
 
 
-def _packing_blocks(packing):
-    blocks = getattr(packing, "cycles", None) or packing.paths
-    return [list(b) for b in blocks]
-
-
 # ---------------------------------------------------------------------------
 # fixtures
 
@@ -280,10 +266,9 @@ def cmd_fixtures(args) -> int:
         if fx.plan_override:
             index = {e: i for i, e in enumerate(fx.matching_override.edges)}
             lines = []
-            for grp, iso in zip(fx.plan_override.groups, fx.plan_override.isolated):
-                idxs = " ".join(str(index[tuple(sorted(e))]) for e in grp)
-                ids = " ".join(map(str, iso if isinstance(iso, tuple) else (iso,)))
-                lines.append(f"{idxs} : {ids}\n")
+            for grp, ends in zip(fx.plan_override.groups, fx.plan_override.isolated):
+                idxs = [index[tuple(sorted(e))] for e in grp]
+                lines.append(" ".join(map(str, [*idxs, ":", *ends])) + "\n")
             (outdir / f"{fx.id}.plan").write_text("".join(lines))
     rows = run_fixture_checks(args.id)
     failed = False
@@ -304,7 +289,7 @@ def cmd_fixtures(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.count < 1:
-        raise SystemExit2(f"--count must be at least 1, got {args.count}")
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     algos = args.algos.split(",")
     for a in algos:
         algorithm_spec(a, args.k)
@@ -425,9 +410,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

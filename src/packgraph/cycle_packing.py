@@ -24,6 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .graph import (
     WEIGHT_CLASSES,
     HamiltonianCycle,
@@ -31,9 +33,11 @@ from .graph import (
     KPathPacking,
     Matching,
     WeightedCompleteGraph,
+    block_weight,
     cycle_weight,
     is_metric,
     make_matching,
+    make_packing,
     matching_weight,
     packing_weight,
     path_weight,
@@ -57,9 +61,9 @@ _NO_MAX = sys.maxsize
 class EdgeGroupPlan:
     """Partition of a size-p matching into groups plus isolated vertices.
 
-    ``groups[i]`` is a list of matching edges; ``isolated[i]`` is the vertex
-    (int, cycle construction) or ordered vertex pair (path construction)
-    spliced into group i.
+    ``groups[i]`` is a list of matching edges; ``isolated[i]``, the ends of
+    group i, is the tuple of the isolated vertices spliced into it: ``(v,)``
+    for a cycle, the ordered pair ``(u, z)`` for a path.
     """
 
     groups: tuple
@@ -172,7 +176,7 @@ class AlgorithmSpec:
         require_divisible(r.g.n, r.k)
         packing, audits = self.body(r)
         if r.g.class_tag not in self.guarantee:
-            ok, triple = is_metric(r.g)
+            ok, triple = r._once(is_metric)
             if not ok:
                 # the caller of the public function, run_algorithm or
                 # audit_instance, each of which calls the spec itself
@@ -284,20 +288,13 @@ def default_plan(
     """Deterministic plan: edges sorted by descending weight fill the groups
     round-robin; isolated vertices are assigned in ascending id order."""
     edges = sorted(matching.edges, key=lambda e: (-g.weight(*e), e))
-    grp = [[] for _ in range(groups)]
-    for i, e in enumerate(edges):
-        grp[i % groups].append(e)
     iso = sorted(set(range(g.n)) - matching.covered())
     if len(iso) != groups * iso_per_group:
         raise ValueError("isolated vertex count mismatch")
-    if iso_per_group == 1:
-        assigned = tuple(iso)
-    else:
-        assigned = tuple(
-            tuple(iso[i * iso_per_group : (i + 1) * iso_per_group])
-            for i in range(groups)
-        )
-    return EdgeGroupPlan(groups=tuple(tuple(x) for x in grp), isolated=assigned)
+    return EdgeGroupPlan(
+        groups=tuple(tuple(edges[i::groups]) for i in range(groups)),
+        isolated=tuple(zip(*[iter(iso)] * iso_per_group)),  # runs of iso_per_group
+    )
 
 
 def _order_group_edges(g: WeightedCompleteGraph, edges: Sequence[tuple]) -> list:
@@ -313,7 +310,7 @@ def _best_orientation(
 ) -> list:
     """Orient each group edge to maximize the spliced chain weight.
 
-    The chain ends[0] t1 h1 ... tm hm ends[1] (for a cycle, ends = (v, v))
+    The chain ends[0] t1 h1 ... tm hm ends[-1] (for a cycle, ends = (v,))
     gains w(h_i, t_(i+1)) between consecutive edges, so a two-state DP along
     the chain (edge i kept or flipped) finds the exact maximum.  Among the
     maxima it returns the one with the least flip integer sum(2^i over the
@@ -321,9 +318,9 @@ def _best_orientation(
     maximum dominates the uniform-random expectation, so the (3m+1)/(2m)
     per-group bound is preserved.
     """
-    # ori[i][f]: edge i kept (f = 0) or flipped; ends[1] closes the chain as
+    # ori[i][f]: edge i kept (f = 0) or flipped; ends[-1] closes the chain as
     # one more "edge" whose two states are alike
-    ori = [(e, (e[1], e[0])) for e in edges] + [((ends[1], ends[1]),) * 2]
+    ori = [(e, (e[1], e[0])) for e in edges] + [((ends[-1], ends[-1]),) * 2]
     # best[i][f]: heaviest connectors from ends[0] up to the tail of ori[i][f]
     best = [[g.weight(ends[0], ori[0][f][0]) for f in (0, 1)]]
     for i in range(1, len(ori)):
@@ -347,7 +344,8 @@ def _splice_matching(r: Run, kind: str):
     matching of size (n/k)m in groups of m = (k-1)/2 resp. (k-2)/2 edges,
     each group spliced with its isolated vertex resp. endpoint pair, as the
     run's plan says if it has one.  A plan override must use a matching of
-    optimal weight.
+    optimal weight, and the ends of each of its groups must be a tuple of
+    isolated vertices, one for a cycle, two for a path.
 
     Returns (packing, the audits w(block) >= (3m+1)/(2m) w(group edges)).
     """
@@ -363,24 +361,25 @@ def _splice_matching(r: Run, kind: str):
         got = plan.matching()
         if got.size != groups * m or matching_weight(g, got) != matching_weight(g, opt_matching):
             raise ValueError("plan inconsistent with the maximum-weight matching")
+        isolated = set(range(g.n)) - got.covered()
+        for i, ends in enumerate(plan.isolated):
+            if np.shape(ends) != (iso,) or not set(ends) <= isolated:
+                raise ValueError(
+                    f"plan group {i}: ends {ends!r} are not {iso} of the isolated vertices"
+                )
     blocks = []
     for edges, ends in zip(plan.groups, plan.isolated):
-        ends = (ends, ends) if kind == "cycle" else ends
         oriented = _best_orientation(g, ends, _order_group_edges(g, edges))
-        block = (ends[0],) + tuple(v for e in oriented for v in e)
-        blocks.append(block if kind == "cycle" else block + (ends[1],))
-    weight = cycle_weight if kind == "cycle" else path_weight
+        blocks.append((ends[0], *(v for e in oriented for v in e), *ends[1:]))
     audits = [
         AuditEntry(
             f"group_{kind}[{i}]",
-            F(weight(g, block)),
+            F(block_weight(g, block, kind)),
             F((3 * m + 1) * sum(g.weight(*e) for e in edges), 2 * m),
         )
         for i, (edges, block) in enumerate(zip(plan.groups, blocks))
     ]
-    if kind == "cycle":
-        return KCyclePacking(k=k, cycles=tuple(blocks)), audits
-    return KPathPacking(k=k, paths=tuple(blocks)), audits
+    return make_packing(kind, k, blocks), audits
 
 
 @_algorithm("alg3", "cycle", range(3, _NO_MAX, 2),

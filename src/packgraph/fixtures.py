@@ -19,26 +19,29 @@ from .graph import (
     KCyclePacking,
     Matching,
     WeightedCompleteGraph,
-    is_metric,
+    check_weight_class,
     make_matching,
     matching_weight,
     packing_weight,
-    validate_packing,
 )
-from .matching import max_weight_matching_of_size, max_weight_perfect_matching
-from .oracles import best_k_tour_on_set, optimal_k_packing, run_algorithm
+from .matching import max_weight_matching_of_size
+from .oracles import ALGORITHMS, best_k_tour_on_set, optimal_k_packing, run_algorithm
 
 
 @dataclass(frozen=True)
 class Fixture:
     id: str
     k: int
-    kind: str
     algorithm: str  # the registered algorithm whose tight example this is
     graph: WeightedCompleteGraph
     matching_override: Optional[Matching] = None
     plan_override: Optional[EdgeGroupPlan] = None
     expected: dict = field(default_factory=dict)
+
+    @property
+    def kind(self) -> str:
+        """What the fixture's algorithm packs: "cycle" or "path"."""
+        return ALGORITHMS[self.algorithm].kind
 
 
 def _graph_from_edges(n, default, heavy, heavy_weight, class_tag):
@@ -69,12 +72,11 @@ def _fig2() -> Fixture:
     for i in range(1, 6):
         r = i % 5 + 1
         groups.append(((u(i, 1), u(i, 2)), (u(r, 3), u(r, 4))))
-        iso.append(u((i + 1) % 5 + 1, 5))
+        iso.append((u((i + 1) % 5 + 1, 5),))
     plan = EdgeGroupPlan(groups=tuple(groups), isolated=tuple(iso))
     return Fixture(
         id="fig2_5cp",
         k=5,
-        kind="cycle",
         algorithm="alg3",
         graph=g,
         matching_override=matching,
@@ -103,7 +105,6 @@ def _fig3() -> Fixture:
     return Fixture(
         id="fig3_general4cp",
         k=4,
-        kind="cycle",
         algorithm="alg6",
         graph=g,
         matching_override=matching,
@@ -124,7 +125,6 @@ def _fig4() -> Fixture:
     return Fixture(
         id="fig4_general4pp",
         k=4,
-        kind="path",
         algorithm="general4pp",
         graph=g,
         matching_override=matching,
@@ -152,7 +152,6 @@ def _fig5() -> Fixture:
     return Fixture(
         id="fig5_metric4cp",
         k=4,
-        kind="cycle",
         algorithm="alg7",
         graph=g,
         matching_override=matching,
@@ -172,7 +171,6 @@ def _fig3_lifted() -> Fixture:
     return Fixture(
         id="fig3_lifted_12",
         k=4,
-        kind="cycle",
         algorithm="alg7",
         graph=g,
         matching_override=matching,
@@ -211,54 +209,46 @@ def get_fixture(fixture_id: str) -> Fixture:
         raise ValueError(f"unknown fixture {fixture_id!r}") from None
 
 
+def _oracle_values(fx: Fixture) -> dict:
+    return {"opt_weight": optimal_k_packing(fx.graph, fx.k, fx.kind)[1]}
+
+
+def _fig2_rows(fx: Fixture) -> dict:
+    """fig2's values from its five rows, as the full n=25 DP does not fit
+    the memory budget: the weight of each row's best 5-cycle (-1 unless all
+    are alike) and, as the optimum, the packing of the rows."""
+    rows = tuple(tuple(range(5 * i, 5 * i + 5)) for i in range(5))
+    row_w = {best_k_tour_on_set(fx.graph, row, "cycle")[1] for row in rows}
+    return {
+        "row_cycle_weight": row_w.pop() if len(row_w) == 1 else -1,
+        "opt_weight": packing_weight(fx.graph, KCyclePacking(k=5, cycles=rows)),
+    }
+
+
+# the fixtures whose optimum comes from values of their own, not the oracle
+_OWN_VALUES = {"fig2_5cp": _fig2_rows}
+
+
 def run_fixture_checks(fixture_id: str, packing=None) -> list:
-    """Re-derive every expected value; returns (name, expected, actual) rows.
+    """Re-derive every expected value; returns (name, expected, actual) rows
+    in the order of ``Fixture.expected``.
 
     ``packing`` is the packing of the fixture's algorithm under its overrides
     when the caller has already run it; otherwise it is run here.
     """
     fx = get_fixture(fixture_id)
     g = fx.graph
-    exp = fx.expected
-    rows = []
+    assert check_weight_class(g, g.class_tag)
     if packing is None:
         packing, _ = run_algorithm(
             g, fx.algorithm, fx.k, matching_override=fx.matching_override, plan=fx.plan_override
         )
-
-    def check(name, actual):
-        rows.append((name, exp[name], actual))
-
-    if fx.id == "fig2_5cp":
-        check("matching_weight", matching_weight(g, max_weight_matching_of_size(g, 10)))
-        check("alg_weight", packing_weight(g, packing))
-        # the full n=25 DP does not fit the memory budget; verify the row
-        # decomposition instead
-        rows_ok = True
-        row_w = None
-        for i in range(5):
-            verts = list(range(5 * i, 5 * i + 5))
-            _, bw = best_k_tour_on_set(g, verts, "cycle")
-            row_w = bw if row_w is None else row_w
-            rows_ok = rows_ok and bw == exp["row_cycle_weight"]
-        check("row_cycle_weight", row_w if rows_ok else -1)
-        row_packing = KCyclePacking(
-            k=5, cycles=tuple(tuple(range(5 * i, 5 * i + 5)) for i in range(5))
-        )
-        assert validate_packing(g, row_packing, 5, "cycle") is None
-        check("opt_weight", packing_weight(g, row_packing))
-        check("ratio", Fraction(packing_weight(g, packing), exp["opt_weight"]))
-    elif fx.id in ("fig3_general4cp", "fig3_lifted_12", "fig4_general4pp", "fig5_metric4cp"):
-        if fx.id == "fig5_metric4cp":
-            assert is_metric(g)[0]
-        check(
-            "matching_weight", matching_weight(g, max_weight_perfect_matching(g))
-        )
-        _, opt = optimal_k_packing(g, fx.k, fx.kind)
-        check("opt_weight", opt)
-        w = packing_weight(g, packing)
-        check("alg_weight", w)
-        check("ratio", Fraction(w, opt))
-    else:
-        raise AssertionError(f"no scripted checks for {fx.id}")
-    return rows
+    # w(M) of a heaviest matching of the override's size
+    p = fx.matching_override.size
+    actual = {
+        "matching_weight": matching_weight(g, max_weight_matching_of_size(g, p)),
+        "alg_weight": packing_weight(g, packing),
+        **_OWN_VALUES.get(fx.id, _oracle_values)(fx),
+    }
+    actual["ratio"] = Fraction(actual["alg_weight"], actual["opt_weight"])
+    return [(name, expected, actual[name]) for name, expected in fx.expected.items()]

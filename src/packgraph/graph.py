@@ -103,16 +103,50 @@ def make_matching(edges: Iterable[Sequence[int]]) -> Matching:
 class KPathPacking:
     k: int
     paths: tuple  # n/k ordered vertex tuples, each of length k
+    kind = "path"
+
+    @property
+    def blocks(self) -> tuple:
+        return self.paths
 
 
 @dataclass(frozen=True, slots=True)
 class KCyclePacking:
     k: int
     cycles: tuple  # n/k cyclic vertex tuples, each of length k
+    kind = "cycle"
+
+    @property
+    def blocks(self) -> tuple:
+        return self.cycles
+
+
+_PACKINGS = {cls.kind: cls for cls in (KCyclePacking, KPathPacking)}
+# the fewest vertices of a block of each kind
+_LEAST_K = {"cycle": 3, "path": 2}
+
+
+def make_packing(kind: str, k: int, blocks):
+    """The k-cycle or k-path packing (``kind``) of ``blocks``."""
+    return _PACKINGS[kind](k, tuple(blocks))
+
+
+def require_block(k: int, kind: str) -> None:
+    """ValueError unless ``kind`` is cycle or path and k is large enough for one."""
+    if kind not in _LEAST_K:
+        raise ValueError(f"kind must be cycle or path, got {kind!r}")
+    if k < _LEAST_K[kind]:
+        raise ValueError(f"a k-{kind} needs k >= {_LEAST_K[kind]}, got k={k}")
 
 
 # ---------------------------------------------------------------------------
 # packgraph v1 text format
+
+
+def text_lines(text: str) -> list:
+    """The non-blank lines of ``text``, stripped, with ``#`` comments removed."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
 
 
 def load_instance(text: str) -> WeightedCompleteGraph:
@@ -123,11 +157,7 @@ def load_instance(text: str) -> WeightedCompleteGraph:
     A declared class that fails validation is downgraded to ``unknown`` with a
     warning.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = text_lines(text)
     if not lines:
         raise FormatError("empty document")
     header = lines[0].split()
@@ -310,6 +340,11 @@ def cycle_weight(g: WeightedCompleteGraph, cyc: Sequence[int]) -> int:
     return path_weight(g, cyc) + g.weight(cyc[-1], cyc[0])
 
 
+def block_weight(g: WeightedCompleteGraph, block: Sequence[int], kind: str) -> int:
+    """Weight of one block: a cycle's includes its closing edge, a path's does not."""
+    return cycle_weight(g, block) if kind == "cycle" else path_weight(g, block)
+
+
 def require_divisible(n: int, k: int) -> None:
     """ValueError unless n vertices split into blocks of k."""
     if k < 1 or n % k != 0:
@@ -319,15 +354,17 @@ def require_divisible(n: int, k: int) -> None:
 def validate_packing(g, packing, k: int, kind: str) -> Optional[str]:
     """Return None if the packing is a valid k-cycle/k-path packing of g,
     otherwise a description of the first violation found."""
-    if kind not in ("cycle", "path"):
+    if kind not in _LEAST_K:
         raise ValueError(f"kind must be cycle or path, got {kind!r}")
     if g.n % k != 0:
         return f"n={g.n} not divisible by k={k}"
-    if kind == "cycle" and k < 3:
-        return "cycles need k >= 3"
-    blocks = packing.cycles if kind == "cycle" else packing.paths
-    if getattr(packing, "k", k) != k:
+    if k < _LEAST_K[kind]:
+        return f"{kind}s need k >= {_LEAST_K[kind]}"
+    if packing.kind != kind:
+        return f"expected a {kind} packing, got a {packing.kind} packing"
+    if packing.k != k:
         return f"packing declares k={packing.k}, expected {k}"
+    blocks = packing.blocks
     if len(blocks) != g.n // k:
         return f"expected {g.n // k} blocks, got {len(blocks)}"
     seen = set()
@@ -348,17 +385,10 @@ def validate_packing(g, packing, k: int, kind: str) -> Optional[str]:
 
 def packing_weight(g: WeightedCompleteGraph, packing) -> int:
     """Total weight; cycles include the closing edge, paths do not."""
-    if isinstance(packing, KCyclePacking):
-        err = validate_packing(g, packing, packing.k, "cycle")
-        if err:
-            raise PackingError(err)
-        return sum(cycle_weight(g, c) for c in packing.cycles)
-    if isinstance(packing, KPathPacking):
-        err = validate_packing(g, packing, packing.k, "path")
-        if err:
-            raise PackingError(err)
-        return sum(path_weight(g, p) for p in packing.paths)
-    raise TypeError(f"not a packing: {packing!r}")
+    err = validate_packing(g, packing, packing.k, packing.kind)
+    if err:
+        raise PackingError(err)
+    return sum(block_weight(g, b, packing.kind) for b in packing.blocks)
 
 
 def matching_weight(g: WeightedCompleteGraph, m: Matching) -> int:

@@ -35,13 +35,13 @@ from . import reductions as red
 from . import tsp
 from .cycle_packing import _NO_MAX, METRIC, AlgorithmSpec, AuditEntry, F, Run, _algorithm
 from .graph import (
-    KCyclePacking,
-    KPathPacking,
     Matching,
     WeightedCompleteGraph,
     cycle_weight,
+    make_packing,
     matching_weight,
     packing_weight,
+    require_block,
     require_divisible,
     validate_packing,
 )
@@ -57,18 +57,6 @@ from .tsp import (  # noqa: F401  (OracleCapError re-exported)
     _tour_footprint,
     exact_max_tsp,
 )
-
-
-def _require_block(k: int, kind: str) -> None:
-    """ValueError unless ``kind`` is cycle or path and k is large enough for one."""
-    if kind == "cycle":
-        if k < 3:
-            raise ValueError(f"a k-cycle needs k >= 3, got k={k}")
-    elif kind == "path":
-        if k < 2:
-            raise ValueError(f"a k-path needs k >= 2, got k={k}")
-    else:
-        raise ValueError(f"kind must be cycle or path, got {kind!r}")
 
 
 def _walk(dps: list, rank: np.ndarray, w: np.ndarray, block: int, kind: str):
@@ -119,7 +107,7 @@ def best_k_tour_on_set(
     if len(set(S)) != len(S) or not all(0 <= v < g.n for v in S):
         raise ValueError(f"S must list distinct vertices in range({g.n}), got {S}")
     k = len(S)
-    _require_block(k, kind)
+    require_block(k, kind)
     w = g.w[np.ix_(S, S)].astype(np.int64)
     fp = _require_fit(_footprint(k, k, int(w.max())), f"the exact {k}-{kind} on a set")
     masks, rank = _popcounts(k)
@@ -211,7 +199,7 @@ def _require_packing_fit(g: WeightedCompleteGraph, k: int, kind: str):
     """
     n = g.n
     require_divisible(n, k)
-    _require_block(k, kind)
+    require_block(k, kind)
     fp = _footprint(n, k, int(g.w.max()))
     layers = range(k, n + 1, k)
     cols = {p: comb(p - 1, k - 1) for p in layers}  # the blocks of a p-set
@@ -285,11 +273,7 @@ def optimal_k_packing(
         block = int(cands[(rest + bw[rank[cands]]).argmax()])
         blocks.append(tuple(_walk(dps, rank, w, block, kind)[0]))
         mask ^= block
-    if kind == "cycle":
-        packing = KCyclePacking(k=k, cycles=tuple(blocks))
-    else:
-        packing = KPathPacking(k=k, paths=tuple(blocks))
-    return packing, int(f[-1][0])
+    return make_packing(kind, k, blocks), int(f[-1][0])
 
 
 # ---------------------------------------------------------------------------

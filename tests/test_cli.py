@@ -7,6 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from packgraph.cli import ALGORITHMS, guarantee_bound, main
+from packgraph.graph import load_instance
+from packgraph.matching import max_weight_matching_of_size
 
 
 def run_cli(capsys, *argv):
@@ -281,6 +283,28 @@ def test_out_of_range_input_exits_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), message
         assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n, klass, algo, k",
+                         [(8, "metric", "alg5", 4), (9, "general", "alg3", 3)])
+def test_plan_ends_of_the_wrong_count_exit_2(capsys, tmp_path, n, klass, algo, k):
+    inst = tmp_path / "g.pg"
+    run_cli(capsys, "gen", "--n", str(n), "--class", klass, "--seed", "1", "--out", str(inst))
+    g = load_instance(inst.read_text())
+    groups = n // k
+    matching = max_weight_matching_of_size(g, groups * ((k - 1) // 2))
+    iso = sorted(set(range(n)) - matching.covered())
+    (tmp_path / "m.txt").write_text("".join(f"{u} {v}\n" for u, v in matching.edges))
+    # one id per group where a path takes two, two where a cycle takes one
+    ends = [iso[:1], iso[2:3]] if algo == "alg5" else [iso[:2], iso[2:3], iso[:1]]
+    (tmp_path / "p.txt").write_text("".join(
+        f"{i} : {' '.join(map(str, e))}\n" for i, e in enumerate(ends)))
+    code, out, err = run_cli(capsys, "solve", "--in", str(inst), "--algo", algo, "--k", str(k),
+                             "--override-matching", str(tmp_path / "m.txt"),
+                             "--override-plan", str(tmp_path / "p.txt"))
+    assert (code, out) == (2, "")
+    assert err == f"error: plan group 0: ends {tuple(ends[0])} are not {3 - len(ends[0])} " \
+        "of the isolated vertices\n"
 
 
 @pytest.mark.parametrize(

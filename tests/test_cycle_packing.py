@@ -18,7 +18,7 @@ from packgraph.graph import (
     validate_packing,
 )
 from packgraph.matching import max_weight_matching_of_size
-from packgraph.oracles import optimal_k_packing
+from packgraph.oracles import optimal_k_packing, run_algorithm
 
 
 def test_complete_paths():
@@ -118,6 +118,21 @@ def test_alg3_nonmetric_warns():
     with pytest.warns(UserWarning):
         C = cp.alg3_matching_kcp_odd(g, 5)
     assert validate_packing(g, C, 5, "cycle") is None
+
+
+@pytest.mark.parametrize("name, k, iso", [("alg3", 3, 1), ("alg5", 4, 2)])
+def test_splice_refuses_plan_ends_that_are_not_its_isolated_vertices(name, k, iso):
+    g = generate_instance(12, "metric", seed=0)
+    groups = 12 // k
+    matching = max_weight_matching_of_size(g, groups * ((k - iso) // 2))
+    plan = cp.default_plan(g, matching, groups, iso)
+    assert run_algorithm(g, name, k, plan=plan)[0] == run_algorithm(g, name, k)[0]
+    v = plan.isolated[1][0]
+    # a bare id, the other kind's count of ids, and matched vertices
+    for ends in (v, (v,) * (3 - iso), plan.groups[1][0][:iso]):
+        bad = cp.EdgeGroupPlan(plan.groups, plan.isolated[:1] + (ends,) + plan.isolated[2:])
+        with pytest.raises(ValueError, match=r"^plan group 1: ends "):
+            run_algorithm(g, name, k, plan=bad)
 
 
 def test_group_cycle_contains_matching_and_isolated():

@@ -189,6 +189,16 @@ def test_validate_packing_examples():
     assert validate_packing(g, missing, 4, "cycle") is not None
 
 
+def test_validate_packing_reports_a_packing_of_the_other_kind():
+    g = get_fixture("fig3").graph
+    as_paths = KPathPacking(k=4, paths=FIG3_OPT.cycles)
+    assert validate_packing(g, as_paths, 4, "path") is None
+    assert validate_packing(g, as_paths, 4, "cycle") == (
+        "expected a cycle packing, got a path packing")
+    assert validate_packing(g, FIG3_OPT, 4, "path") == (
+        "expected a path packing, got a cycle packing")
+
+
 def test_packing_weight_examples():
     assert packing_weight(get_fixture("fig3").graph, FIG3_OPT) == 12
     assert packing_weight(get_fixture("fig5").graph, FIG5_OPT) == 24

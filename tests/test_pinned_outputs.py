@@ -23,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 import warnings
@@ -98,10 +99,15 @@ def _fixture_files(fid: str) -> list:
 
 
 def _usage_errors() -> dict:
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        _cli(("gen", "--n", "8", "--class", "metric", "--seed", "1", "--out", "g.pg"))
-        Path("p.txt").write_text("0 : 2 3\n")
-        return {" ".join(argv): _digest(_cli(argv, stderr=True)) for argv in USAGE_ERRORS}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            _cli(("gen", "--n", "8", "--class", "metric", "--seed", "1", "--out", "g.pg"))
+            Path("p.txt").write_text("0 : 2 3\n")
+            return {" ".join(argv): _digest(_cli(argv, stderr=True)) for argv in USAGE_ERRORS}
+        finally:
+            os.chdir(cwd)
 
 
 def _engine_runs(n: int) -> list:

@@ -180,6 +180,23 @@ def test_audit_instance_contracts_m_star_once(monkeypatch):
     assert sizes == [16, 8, 24, 8]
 
 
+def test_audit_instance_checks_the_metric_once(monkeypatch):
+    calls = []
+    real = cp.is_metric
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(cp, "is_metric", counted)
+    g = generate_instance(12, "general", seed=0)
+    names = ["alg7", "alg8", "kpp-combined", "alg4"]
+    with pytest.warns(UserWarning) as record:
+        audit_instance(g, 4, names)
+    assert len(calls) == 1
+    assert sorted(str(w.message).split(":")[0] for w in record) == sorted(names)
+
+
 def test_readme_table_lists_the_registry():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Algorithms", 1)[1].split("\n## ", 1)[0]
