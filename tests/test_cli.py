@@ -185,6 +185,12 @@ def test_fixtures_fig2_writes_plan(capsys, tmp_path):
                            "--out-dir", str(tmp_path))
     assert code == 0
     assert (tmp_path / "fig2_5cp.plan").exists()
+    # the files read back as the paper's overrides
+    solve = ("solve", "--in", "fig2", "--algo", "alg3", "--oracle")
+    files = ("--override-matching", str(tmp_path / "fig2_5cp.matching"),
+             "--override-plan", str(tmp_path / "fig2_5cp.plan"))
+    paper = ("--override-matching", "paper", "--override-plan", "paper")
+    assert run_cli(capsys, *solve, *files) == run_cli(capsys, *solve, *paper)
 
 
 def test_bench_passes_and_is_deterministic(capsys):
