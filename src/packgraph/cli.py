@@ -103,17 +103,27 @@ def _load_input(source: str):
 
 def _indices(tokens, stop: int, what: str) -> list:
     """The integers of ``tokens``; a usage error unless each is in 0..stop-1."""
-    ids = [int(t) for t in tokens]
-    for i in ids:
+    ids = []
+    for t in tokens:
+        try:
+            i = int(t)
+        except ValueError:
+            raise ValueError(f"{what} {t!r} is not an integer") from None
         if not 0 <= i < stop:
             raise ValueError(f"{what} {i} outside 0..{stop - 1}")
+        ids.append(i)
     return ids
 
 
 def _parse_matching_file(path: str, n: int):
     """Each line: the two vertex ids of a matching edge."""
-    lines = text_lines(_read_text(path, "--override-matching"))
-    return make_matching(_indices(line.split(), n, f"{path}: vertex id") for line in lines)
+    edges = []
+    for line in text_lines(_read_text(path, "--override-matching")):
+        ids = _indices(line.split(), n, f"{path}: vertex id")
+        if len(ids) != 2:
+            raise ValueError(f"{path}: line {line!r} is not the two ids of an edge")
+        edges.append(ids)
+    return make_matching(edges)
 
 
 def _parse_plan_file(path: str, matching, n: int):
@@ -124,7 +134,9 @@ def _parse_plan_file(path: str, matching, n: int):
     groups = []
     iso = []
     for line in text_lines(_read_text(path, "--override-plan")):
-        left, right = line.split(":")
+        left, colon, right = line.partition(":")
+        if not colon or ":" in right:
+            raise ValueError(f"{path}: line {line!r} needs exactly one ':'")
         idx = _indices(left.split(), matching.size, f"{path}: edge index")
         groups.append(tuple(matching.edges[i] for i in idx))
         ids = _indices(right.split(), n, f"{path}: vertex id")
@@ -180,7 +192,7 @@ def cmd_solve(args) -> int:
             )
         except OracleCapError:
             # fixtures carry a scripted optimum instead
-            if fx is None or "opt_weight" not in fx.expected:
+            if fx is None:
                 raise
             rep = _fixture_oracle_report(
                 g, fx, algo, k, matching_override, plan, getattr(args, "in")
@@ -259,10 +271,9 @@ def cmd_fixtures(args) -> int:
     with _file_errors(f"cannot write --out-dir {args.out_dir}"):
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / f"{fx.id}.packgraph").write_text(save_instance(fx.graph))
-        if fx.matching_override:
-            (outdir / f"{fx.id}.matching").write_text(
-                "".join(f"{u} {v}\n" for u, v in fx.matching_override.edges)
-            )
+        (outdir / f"{fx.id}.matching").write_text(
+            "".join(f"{u} {v}\n" for u, v in fx.matching_override.edges)
+        )
         if fx.plan_override:
             index = {e: i for i, e in enumerate(fx.matching_override.edges)}
             lines = []
@@ -291,6 +302,8 @@ def cmd_bench(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     algos = args.algos.split(",")
+    if len(set(algos)) < len(algos):
+        raise ValueError(f"--algos names an algorithm twice: {args.algos}")
     for a in algos:
         algorithm_spec(a, args.k)
     class_tag = getattr(args, "class")

@@ -6,9 +6,9 @@ the ratio the paper proves for it by weight class, and one body that maps a
 intermediates.  A ``Run`` holds the instance and the options of one run and
 computes the shared intermediates (the tour, M*, the size-p matchings) once.
 Calling the spec is the one gate of every entry point: it refuses an
-inadmissible k, runs the body, and warns once when the input lies outside
-the classes the guarantee covers and is not metric.  Each public function
-is one call of its spec.
+inadmissible k, runs the body, refuses an invalid packing, and warns once
+when the input lies outside the classes the guarantee covers and is not
+metric.  Each public function is one call of its spec.
 
 Covers the TSP-splitting constructions (tour -> k-paths -> k-cycles), the
 matching-based construction for odd k, and the two contraction-based
@@ -32,6 +32,7 @@ from .graph import (
     KCyclePacking,
     KPathPacking,
     Matching,
+    PackingError,
     WeightedCompleteGraph,
     block_weight,
     cycle_weight,
@@ -43,6 +44,7 @@ from .graph import (
     path_weight,
     require_divisible,
     tilde_weight,
+    validate_packing,
 )
 from .matching import (
     max_weight_matching_of_size,
@@ -169,12 +171,16 @@ class AlgorithmSpec:
             raise ValueError(f"{self.name} needs {self.admissible_k}, got k={k}")
 
     def __call__(self, r: Run):
-        """Run the algorithm; returns (packing, audits).  The guarantee, not
-        the validity of the packing, depends on the weight class, so input
-        outside the covered classes gets a warning, not an error."""
+        """Run the algorithm; returns (packing, audits), or raises PackingError
+        if the packing is not a valid k-packing of the instance.  The
+        guarantee, not the validity of the packing, depends on the weight
+        class, so input outside the covered classes gets a warning, not an error."""
         self.require(r.k)
         require_divisible(r.g.n, r.k)
         packing, audits = self.body(r)
+        err = validate_packing(r.g, packing, r.k, self.kind)
+        if err:
+            raise PackingError(f"{self.name} produced an invalid packing: {err}")
         if r.g.class_tag not in self.guarantee:
             ok, triple = r._once(is_metric)
             if not ok:

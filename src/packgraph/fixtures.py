@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -34,7 +35,7 @@ class Fixture:
     k: int
     algorithm: str  # the registered algorithm whose tight example this is
     graph: WeightedCompleteGraph
-    matching_override: Optional[Matching] = None
+    matching_override: Matching
     plan_override: Optional[EdgeGroupPlan] = None
     expected: dict = field(default_factory=dict)
 
@@ -91,53 +92,35 @@ def _fig2() -> Fixture:
     )
 
 
-_FIG3_CHORDS = ((1, 6), (7, 12), (2, 9), (3, 8), (4, 11), (5, 10))
-
-
-def _fig3_edges():
-    ring = [(i, i % 12 + 1) for i in range(1, 13)]
-    return [(a - 1, b - 1) for a, b in ring + list(_FIG3_CHORDS)]
-
-
-def _fig3() -> Fixture:
-    g = _graph_from_edges(12, 0, _fig3_edges(), 1, "zero_one")
-    matching = make_matching((2 * i, 2 * i + 1) for i in range(6))
+def _k4(id, algorithm, graph, matching_weight, opt_weight, alg_weight, ratio) -> Fixture:
+    """A k = 4 tight example on ``graph()``: M* is overridden by the pairs
+    {0 1, 2 3, ...}, and the expected values are the published w(M*), OPT,
+    ALG and ratio."""
+    g = graph()
+    pairs = make_matching((i, i + 1) for i in range(0, g.n, 2))
     return Fixture(
-        id="fig3_general4cp",
-        k=4,
-        algorithm="alg6",
-        graph=g,
-        matching_override=matching,
+        id, 4, algorithm, g, pairs,
         expected={
-            "matching_weight": 6,
-            "opt_weight": 12,
-            "alg_weight": 9,
-            "ratio": Fraction(3, 4),
+            "matching_weight": matching_weight,
+            "opt_weight": opt_weight,
+            "alg_weight": alg_weight,
+            "ratio": ratio,
         },
     )
 
 
-def _fig4() -> Fixture:
-    solid = ((15, 16), (16, 1), (2, 3), (3, 4), (7, 8), (8, 9), (10, 11), (11, 12))
-    edges = [(a - 1, b - 1) for a, b in solid]
-    g = _graph_from_edges(16, 0, edges, 1, "zero_one")
-    matching = make_matching((2 * i, 2 * i + 1) for i in range(8))
-    return Fixture(
-        id="fig4_general4pp",
-        k=4,
-        algorithm="general4pp",
-        graph=g,
-        matching_override=matching,
-        expected={
-            "matching_weight": 4,
-            "opt_weight": 8,
-            "alg_weight": 6,
-            "ratio": Fraction(3, 4),
-        },
-    )
+def _one_based(edges):
+    return [(a - 1, b - 1) for a, b in edges]
 
 
-def _fig5() -> Fixture:
+# the weight-1 edges of Fig. 3, a 12-ring with six chords, and of Fig. 4
+_FIG3_EDGES = _one_based(
+    [(i, i % 12 + 1) for i in range(1, 13)] + [(1, 6), (7, 12), (2, 9), (3, 8), (4, 11), (5, 10)]
+)
+_FIG4_EDGES = _one_based([(15, 16), (16, 1), (2, 3), (3, 4), (7, 8), (8, 9), (10, 11), (11, 12)])
+
+
+def _fig5_graph() -> WeightedCompleteGraph:
     # per-color edge lists from the figure (1-indexed labels)
     orange = [(1, 2), (5, 6)]
     blue = [(2, 3), (4, 5), (1, 8), (6, 7), (1, 7), (2, 4), (6, 8), (3, 5)]
@@ -145,58 +128,26 @@ def _fig5() -> Fixture:
     gray = [(1, 3), (1, 4), (2, 8), (2, 7), (3, 6), (4, 6), (5, 8), (5, 7)]
     w = np.zeros((8, 8), dtype=np.int64)
     for weight, edges in ((4, orange), (3, blue), (2, red), (1, gray)):
-        for a, b in edges:
-            w[a - 1, b - 1] = w[b - 1, a - 1] = weight
-    g = WeightedCompleteGraph(n=8, w=w, class_tag="metric")
-    matching = make_matching((2 * i, 2 * i + 1) for i in range(4))
-    return Fixture(
-        id="fig5_metric4cp",
-        k=4,
-        algorithm="alg7",
-        graph=g,
-        matching_override=matching,
-        expected={
-            "matching_weight": 12,
-            "opt_weight": 24,
-            "alg_weight": 20,
-            "ratio": Fraction(5, 6),
-        },
-    )
+        for a, b in _one_based(edges):
+            w[a, b] = w[b, a] = weight
+    return WeightedCompleteGraph(n=8, w=w, class_tag="metric")
 
 
-def _fig3_lifted() -> Fixture:
-    # the general-4CP tight example shifted to {1,2}: tight for the 7/8 claim
-    g = _graph_from_edges(12, 1, _fig3_edges(), 2, "one_two")
-    matching = make_matching((2 * i, 2 * i + 1) for i in range(6))
-    return Fixture(
-        id="fig3_lifted_12",
-        k=4,
-        algorithm="alg7",
-        graph=g,
-        matching_override=matching,
-        expected={
-            "matching_weight": 12,
-            "opt_weight": 24,
-            "alg_weight": 21,
-            "ratio": Fraction(7, 8),
-        },
-    )
-
-
-_BUILDERS = {
-    "fig2_5cp": _fig2,
-    "fig3_general4cp": _fig3,
-    "fig4_general4pp": _fig4,
-    "fig5_metric4cp": _fig5,
-    "fig3_lifted_12": _fig3_lifted,
-}
-_ALIASES = {
-    "fig2": "fig2_5cp",
-    "fig3": "fig3_general4cp",
-    "fig4": "fig4_general4pp",
-    "fig5": "fig5_metric4cp",
-    "fig3_lifted": "fig3_lifted_12",
-}
+# the k = 4 tight examples, one row each: id, algorithm, graph, then the
+# published w(M*), OPT, ALG and ratio; fig3_lifted_12 is Fig. 3 shifted to
+# {1,2}, tight for the 7/8 claim
+_K4 = (
+    ("fig3_general4cp", "alg6", partial(_graph_from_edges, 12, 0, _FIG3_EDGES, 1, "zero_one"),
+     6, 12, 9, Fraction(3, 4)),
+    ("fig4_general4pp", "general4pp", partial(_graph_from_edges, 16, 0, _FIG4_EDGES, 1, "zero_one"),
+     4, 8, 6, Fraction(3, 4)),
+    ("fig5_metric4cp", "alg7", _fig5_graph, 12, 24, 20, Fraction(5, 6)),
+    ("fig3_lifted_12", "alg7", partial(_graph_from_edges, 12, 1, _FIG3_EDGES, 2, "one_two"),
+     12, 24, 21, Fraction(7, 8)),
+)
+_BUILDERS = {"fig2_5cp": _fig2, **{row[0]: partial(_k4, *row) for row in _K4}}
+# each id's short name: its id without the last "_" part (fig3_lifted_12 -> fig3_lifted)
+_ALIASES = {fid.rsplit("_", 1)[0]: fid for fid in _BUILDERS}
 
 FIXTURE_IDS = tuple(_BUILDERS)
 

@@ -356,10 +356,10 @@ def validate_packing(g, packing, k: int, kind: str) -> Optional[str]:
     otherwise a description of the first violation found."""
     if kind not in _LEAST_K:
         raise ValueError(f"kind must be cycle or path, got {kind!r}")
-    if g.n % k != 0:
-        return f"n={g.n} not divisible by k={k}"
     if k < _LEAST_K[kind]:
         return f"{kind}s need k >= {_LEAST_K[kind]}"
+    if g.n % k != 0:
+        return f"n={g.n} not divisible by k={k}"
     if packing.kind != kind:
         return f"expected a {kind} packing, got a {packing.kind} packing"
     if packing.k != k:

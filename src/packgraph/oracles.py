@@ -43,7 +43,6 @@ from .graph import (
     packing_weight,
     require_block,
     require_divisible,
-    validate_packing,
 )
 from .matching import max_weight_perfect_matching  # noqa: F401  (re-exported)
 from .tsp import (  # noqa: F401  (OracleCapError re-exported)
@@ -403,9 +402,6 @@ def audit_instance(
     for spec in specs:
         opt = optimum[spec.kind]
         packing, audits = spec(r)
-        err = validate_packing(g, packing, k, spec.kind)
-        if err:
-            raise AssertionError(f"{spec.name} produced an invalid packing: {err}")
         w = packing_weight(g, packing)
         covered = g.class_tag in spec.guarantee
         reports.append(

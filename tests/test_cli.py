@@ -6,8 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import malformed_alg3_plans
 from packgraph.cli import ALGORITHMS, guarantee_bound, main
-from packgraph.graph import load_instance
+from packgraph.graph import load_instance, save_instance
 from packgraph.matching import max_weight_matching_of_size
 
 
@@ -278,6 +279,12 @@ def test_out_of_range_input_exits_2(capsys, tmp_path):
          "vertex id 15 outside 0..14"),
         (g15, "alg3", "5", pairs + "10 11\n", "0 1 :\n2 3 : 13\n4 5 : 14\n",
          "a group without an isolated vertex"),
+        (g15, "alg3", "5", pairs + "10 11\n", "0 1 12\n2 3 : 13\n4 5 : 14\n",
+         "p.txt: line '0 1 12' needs exactly one ':'"),
+        (g15, "alg3", "5", pairs + "10 11\n", "0 1 : 12 : 13\n2 3 : 13\n4 5 : 14\n",
+         "p.txt: line '0 1 : 12 : 13' needs exactly one ':'"),
+        (g12, "alg7", "4", "0 1 2\n", None, "m.txt: line '0 1 2' is not the two ids of an edge"),
+        (g12, "alg7", "4", pairs + "10 x\n", None, "m.txt: vertex id 'x' is not an integer"),
     ]
     for inst, algo, k, matching, plan, message in cases:
         (tmp_path / "m.txt").write_text(matching)
@@ -329,6 +336,7 @@ def test_plan_ends_of_the_wrong_count_exit_2(capsys, tmp_path, n, klass, algo, k
         (["bench", "--k", "4", "--n", "8", "--count", "1", "--algos", "alg7",
           "--out", "DIR/no/x"], "--out"),
         (["fixtures", "--id", "fig5", "--out-dir", "DIR/file/x"], "--out-dir"),
+        (["bench", "--k", "4", "--n", "8", "--count", "2", "--algos", "alg7,alg7"], "--algos"),
     ],
 )
 def test_bad_counts_and_paths_exit_2(capsys, tmp_path, monkeypatch, argv, named):
@@ -338,6 +346,27 @@ def test_bad_counts_and_paths_exit_2(capsys, tmp_path, monkeypatch, argv, named)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_malformed_plan_files_exit_2(capsys, tmp_path, oracle):
+    g, matching, plans = malformed_alg3_plans()
+    inst, m, p = tmp_path / "g.pg", tmp_path / "m.txt", tmp_path / "p.txt"
+    inst.write_text(save_instance(g))
+    m.write_text("".join(f"{u} {v}\n" for u, v in matching.edges))
+    index = {e: i for i, e in enumerate(matching.edges)}
+    for violation, plan in plans.items():
+        # a plan file gives each group its ends, so the cut plan is a group without any
+        ends = plan.isolated + ((),) * (len(plan.groups) - len(plan.isolated))
+        p.write_text("".join(" ".join(map(str, [*(index[e] for e in grp), ":", *end])) + "\n"
+                             for grp, end in zip(plan.groups, ends)))
+        code, out, err = run_cli(capsys, "solve", "--in", str(inst), "--algo", "alg3", "--k", "5",
+                                 "--override-matching", str(m), "--override-plan", str(p), *oracle)
+        assert (code, out) == (2, "")
+        if plan.isolated == ends:
+            assert err.startswith(f"error: alg3 produced an invalid packing: {violation}")
+        else:
+            assert err == f"error: {p}: a group without an isolated vertex\n"
 
 
 FIXTURE_IDS = ["fig2_5cp", "fig3_general4cp", "fig4_general4pp", "fig5_metric4cp",

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_matrix, uniform_graph
+from conftest import graph_from_matrix, malformed_alg3_plans, uniform_graph
 from packgraph import cycle_packing as cp
 from packgraph.fixtures import get_fixture
 from packgraph.graph import (
     KPathPacking,
+    PackingError,
     cycle_weight,
     generate_instance,
     matching_weight,
@@ -18,7 +19,7 @@ from packgraph.graph import (
     validate_packing,
 )
 from packgraph.matching import max_weight_matching_of_size
-from packgraph.oracles import optimal_k_packing, run_algorithm
+from packgraph.oracles import audit_instance, optimal_k_packing, run_algorithm
 
 
 def test_complete_paths():
@@ -133,6 +134,16 @@ def test_splice_refuses_plan_ends_that_are_not_its_isolated_vertices(name, k, is
         bad = cp.EdgeGroupPlan(plan.groups, plan.isolated[:1] + (ends,) + plan.isolated[2:])
         with pytest.raises(ValueError, match=r"^plan group 1: ends "):
             run_algorithm(g, name, k, plan=bad)
+
+
+def test_the_spec_refuses_the_invalid_packing_of_a_malformed_plan():
+    g, _, plans = malformed_alg3_plans()
+    for violation, plan in plans.items():
+        message = f"^alg3 produced an invalid packing: {violation}"
+        with pytest.raises(PackingError, match=message):
+            run_algorithm(g, "alg3", 5, plan=plan)
+        with pytest.raises(PackingError, match=message):
+            audit_instance(g, 5, ["alg3"], plan=plan)
 
 
 def test_group_cycle_contains_matching_and_isolated():

@@ -12,6 +12,7 @@ from packgraph.graph import (
     FormatError,
     KCyclePacking,
     KPathPacking,
+    PackingError,
     WeightedCompleteGraph,
     check_weight_class,
     generate_instance,
@@ -187,6 +188,12 @@ def test_validate_packing_examples():
     assert "blocks" in msg or "missing vertex" in msg
     missing = KCyclePacking(k=4, cycles=((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 10)))
     assert validate_packing(g, missing, 4, "cycle") is not None
+    # the least k is checked before n % k
+    for k in (0, -3):
+        empty = KCyclePacking(k=k, cycles=())
+        assert validate_packing(g, empty, k, "cycle") == "cycles need k >= 3"
+        with pytest.raises(PackingError, match="^cycles need k >= 3$"):
+            packing_weight(g, empty)
 
 
 def test_validate_packing_reports_a_packing_of_the_other_kind():
