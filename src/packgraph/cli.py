@@ -186,7 +186,6 @@ def cmd_solve(args) -> int:
                 k,
                 [algo],
                 tsp_solver=exact_max_tsp,
-                instance_id=getattr(args, "in"),
                 matching_override=matching_override,
                 plan=plan,
             )
@@ -194,9 +193,7 @@ def cmd_solve(args) -> int:
             # fixtures carry a scripted optimum instead
             if fx is None:
                 raise
-            rep = _fixture_oracle_report(
-                g, fx, algo, k, matching_override, plan, getattr(args, "in")
-            )
+            rep = _fixture_oracle_report(g, fx, algo, k, matching_override, plan)
         packing = rep.packing
     else:
         packing, _ = run_algorithm(
@@ -236,7 +233,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _fixture_oracle_report(g, fx, algo, k, matching_override, plan, iid):
+def _fixture_oracle_report(g, fx, algo, k, matching_override, plan):
     packing, audits = run_algorithm(
         g, algo, k, exact_max_tsp, matching_override=matching_override, plan=plan
     )
@@ -251,7 +248,6 @@ def _fixture_oracle_report(g, fx, algo, k, matching_override, plan, iid):
     w = packing_weight(g, packing)
     opt = fx.expected["opt_weight"]
     return RatioReport(
-        instance_id=iid,
         algorithm=algo,
         algorithm_weight=w,
         oracle_weight=opt,
@@ -313,9 +309,7 @@ def cmd_bench(args) -> int:
     for i in range(args.count):
         seed = args.seed + i
         g = generate_instance(n=args.n, class_tag=class_tag, seed=seed)
-        reports = audit_instance(
-            g, args.k, algos, tsp_solver=exact_max_tsp, instance_id=str(seed)
-        )
+        reports = audit_instance(g, args.k, algos, tsp_solver=exact_max_tsp)
         for rep in reports:
             ok = all(a.holds for a in rep.gated)
             rows.append(

@@ -217,14 +217,7 @@ def cycle_candidates_from_path(path: Sequence[int]):
 
 def best_cycle_from_path(g: WeightedCompleteGraph, path: Sequence[int]) -> tuple:
     """Heaviest of the k-1 closures; ties to the smallest index."""
-    best = None
-    best_w = -1
-    for cand in cycle_candidates_from_path(path):
-        cw = cycle_weight(g, cand)
-        if cw > best_w:
-            best_w = cw
-            best = cand
-    return best
+    return max(cycle_candidates_from_path(path), key=lambda cand: cycle_weight(g, cand))
 
 
 def _split_tour(r: Run):

@@ -281,7 +281,6 @@ def optimal_k_packing(
 
 @dataclass(slots=True)
 class RatioReport:
-    instance_id: str
     algorithm: str
     algorithm_weight: int
     oracle_weight: int
@@ -297,11 +296,6 @@ class RatioReport:
         return all(a.holds for a in self.audits)
 
 
-def exact_oracle_solver(kind: str, k: int) -> red.PluggableSolver:
-    """The exact oracle wrapped as a pluggable solver (ratio 1)."""
-    return red.PluggableSolver(kind, k, lambda h: optimal_k_packing(h, k, kind)[0])
-
-
 def _reduction_identity(g, k: int, packing) -> AuditEntry:
     lifted = red.lift_12_to_01(g)
     off = red.reduction_offset(g.n, k, "cycle")
@@ -311,13 +305,13 @@ def _reduction_identity(g, k: int, packing) -> AuditEntry:
 
 @_algorithm("reduce12", "cycle", range(3, _NO_MAX), {"one_two": lambda k: F(1)})
 def REDUCE12(r: Run):
-    packing = red.solve_12_via_01(r.g, exact_oracle_solver("cycle", r.k))
+    packing = red.solve_12_via_01(r.g, r.k, lambda h: optimal_k_packing(h, r.k, "cycle")[0])
     return packing, [_reduction_identity(r.g, r.k, packing)]
 
 
 @_algorithm("3cp911", "cycle", range(3, 4), {"one_two": lambda k: F(9, 11)})
 def THREE_CP_911(r: Run):
-    packing = red.three_cp_9_11(r.g, exact_oracle_solver("cycle", 3))
+    packing = red.three_cp_9_11(r.g, lambda h: optimal_k_packing(h, 3, "cycle")[0])
     return packing, [_reduction_identity(r.g, r.k, packing)]
 
 
@@ -366,7 +360,6 @@ def audit_instance(
     k: int,
     algorithms: Sequence[str],
     tsp_solver=exact_max_tsp,
-    instance_id: str = "",
     matching_override: Optional[Matching] = None,
     plan: Optional[cp.EdgeGroupPlan] = None,
 ) -> list:
@@ -406,7 +399,6 @@ def audit_instance(
         covered = g.class_tag in spec.guarantee
         reports.append(
             RatioReport(
-                instance_id=instance_id,
                 algorithm=spec.name,
                 algorithm_weight=w,
                 oracle_weight=opt,

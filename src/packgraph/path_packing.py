@@ -62,13 +62,17 @@ def alg5_matching_kpp_even(
     return ALG5(Run(g, k, plan=plan))[0]
 
 
+def _heavier(g: WeightedCompleteGraph, first, second):
+    """The heavier packing of two (packing, audits) results, ties to the
+    first, with the audits of both: the pick of kpp-combined and Alg.8."""
+    (a, a_audits), (b, b_audits) = first, second
+    return (a if packing_weight(g, a) >= packing_weight(g, b) else b), a_audits + b_audits
+
+
 @_algorithm("kpp-combined", "path", range(4, _NO_MAX, 2), dict.fromkeys(
     METRIC, lambda k: F(27 * k * k - 48 * k + 16, 32 * k * k - 36 * k - 24)))
 def KPP_COMBINED(r: Run):
-    split, split_audits = _split_tour(r)
-    spliced, group_audits = _splice_matching(r, "path")
-    pick = split if packing_weight(r.g, split) >= packing_weight(r.g, spliced) else spliced
-    return pick, split_audits + group_audits
+    return _heavier(r.g, _split_tour(r), _splice_matching(r, "path"))
 
 
 def metric_kpp_combined(
@@ -94,7 +98,6 @@ def general_4pp(
 @_algorithm("alg8", "path", range(4, 5), dict.fromkeys(METRIC, lambda k: F(14, 17)))
 def ALG8(r: Run):
     g = r.g
-    P4 = KPathPacking(4, r.contraction(closed=False)[0])
     mm = r.matching_of_size(g.n // 4)
     iso = sorted(set(range(g.n)) - mm.covered())
     paths = []
@@ -105,9 +108,9 @@ def ALG8(r: Run):
         else:
             paths.append((z, x, y, u))
     spliced = KPathPacking(4, tuple(paths))
-    pick = P4 if packing_weight(g, P4) >= packing_weight(g, spliced) else spliced
     lhs, rhs = packing_weight(g, spliced), 2 * matching_weight(g, mm)
-    return pick, [AuditEntry("spliced_vs_matching", F(lhs), F(rhs))]
+    audit = AuditEntry("spliced_vs_matching", F(lhs), F(rhs))
+    return _heavier(g, GENERAL_4PP.body(r), (spliced, [audit]))
 
 
 def alg8_metric_4pp(g: WeightedCompleteGraph) -> KPathPacking:

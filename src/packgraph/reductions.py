@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -15,14 +14,8 @@ from .graph import (
     validate_packing,
 )
 
-
-@dataclass(frozen=True)
-class PluggableSolver:
-    """A k-cycle or k-path packing solver for {0,1} graphs."""
-
-    kind: str  # "cycle" | "path"
-    k: int
-    solve: Callable[[WeightedCompleteGraph], object]
+# a k-cycle packing solver for {0,1} graphs
+ZeroOneSolver = Callable[[WeightedCompleteGraph], KCyclePacking]
 
 
 def lift_12_to_01(g: WeightedCompleteGraph) -> WeightedCompleteGraph:
@@ -43,28 +36,25 @@ def reduction_offset(n: int, k: int, kind: str) -> int:
     return n if kind == "cycle" else n - n // k
 
 
-def solve_12_via_01(g: WeightedCompleteGraph, solver: PluggableSolver):
-    """Lift, run the {0,1} solver, reinterpret the packing on g.
+def solve_12_via_01(g: WeightedCompleteGraph, k: int, solve: ZeroOneSolver) -> KCyclePacking:
+    """Lift, run the {0,1} k-cycle packing solver ``solve``, reinterpret
+    its packing on g.
 
-    With a rho-approximate plug the result is (1+rho)/2-approximate on g.
+    With a rho-approximate solver the result is (1+rho)/2-approximate on g.
     """
     lifted = lift_12_to_01(g)
-    packing = solver.solve(lifted)
-    err = validate_packing(lifted, packing, solver.k, solver.kind)
+    packing = solve(lifted)
+    err = validate_packing(lifted, packing, k, "cycle")
     if err:
         raise ValueError(f"plugged solver returned an invalid packing: {err}")
     return packing  # identical structure is valid on g as well
 
 
-def three_cp_9_11(
-    g: WeightedCompleteGraph, zero_one_solver: PluggableSolver
-) -> KCyclePacking:
+def three_cp_9_11(g: WeightedCompleteGraph, solve: ZeroOneSolver) -> KCyclePacking:
     """3CP on {1,2} graphs through the {0,1} reduction.
 
-    The 9/11 guarantee needs a plug meeting the known {0,1} 3CP lower
-    bound; an exact plug dominates it.
+    The 9/11 guarantee needs a 3CP solver ``solve`` meeting the known {0,1}
+    3CP lower bound; an exact one dominates it.
     """
     require_divisible(g.n, 3)
-    if zero_one_solver.kind != "cycle" or zero_one_solver.k != 3:
-        raise ValueError("plug must solve 3CP")
-    return solve_12_via_01(g, zero_one_solver)
+    return solve_12_via_01(g, 3, solve)

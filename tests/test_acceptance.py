@@ -40,9 +40,7 @@ def run_suites():
         reports = []
         for i, n in enumerate(sizes):
             g = generate_instance(n, klass, seed=10_000 + i)
-            reports.extend(
-                audit_instance(g, k, [algo], instance_id=f"{name}/{i}")
-            )
+            reports.extend(audit_instance(g, k, [algo]))
         data[name] = reports
     return data, time.perf_counter() - t0
 
@@ -120,8 +118,8 @@ def test_criterion_6_lemma_audits():
     }
     for name, reports in data.items():
         algo = SUITES[name][0]
-        for r in reports:
-            assert r.all_audits_hold, f"{name} {r.instance_id}"
+        for i, r in enumerate(reports):
+            assert r.all_audits_hold, f"{name}/{i}"
             names = {a.name for a in r.audits}
             assert expected_audit[algo] in names, (name, names)
 

@@ -10,7 +10,12 @@ from packgraph.graph import (
     generate_instance,
     packing_weight,
 )
-from packgraph.oracles import exact_oracle_solver, optimal_k_packing, run_algorithm
+from packgraph.oracles import optimal_k_packing, run_algorithm
+
+
+def exact(kind, k):
+    """The exact oracle as a {0,1} solver."""
+    return lambda h: optimal_k_packing(h, k, kind)[0]
 
 
 def test_lift_constant_graphs():
@@ -48,25 +53,25 @@ def test_solve_12_via_01_validates_plug():
     def bad_solve(h):
         return KCyclePacking(k=3, cycles=((0, 1, 2), (3, 4, 4)))
 
-    plug = red.PluggableSolver(kind="cycle", k=3, solve=bad_solve)
     with pytest.raises(ValueError):
-        red.solve_12_via_01(g, plug)
+        red.solve_12_via_01(g, 3, bad_solve)
 
 
 def test_three_cp_constant_graphs_are_optimal():
     for c in (1, 2):
         g = uniform_graph(9, c, class_tag="one_two")
-        packing = red.three_cp_9_11(g, exact_oracle_solver("cycle", 3))
+        packing = red.three_cp_9_11(g, exact("cycle", 3))
         assert packing_weight(g, packing) == 9 * c
 
 
 def test_three_cp_argument_checks():
     g = generate_instance(10, "one_two", seed=0)
     with pytest.raises(ValueError):
-        red.three_cp_9_11(g, exact_oracle_solver("cycle", 3))  # n not % 3
+        red.three_cp_9_11(g, exact("cycle", 3))  # n not % 3
     g = generate_instance(9, "one_two", seed=0)
-    with pytest.raises(ValueError):
-        red.three_cp_9_11(g, exact_oracle_solver("path", 3))
+    # a path solver's packing is not a 3-cycle packing of the lift
+    with pytest.raises(ValueError, match="expected a cycle packing, got a path packing"):
+        red.three_cp_9_11(g, exact("path", 3))
 
 
 def test_three_cp_ratio():

@@ -22,7 +22,7 @@ from packgraph.graph import (
     is_metric,
     validate_packing,
 )
-from packgraph.oracles import ALGORITHMS, audit_instance, exact_oracle_solver, run_algorithm
+from packgraph.oracles import ALGORITHMS, audit_instance, optimal_k_packing, run_algorithm
 
 # name -> (public library call, an admissible (n, k, weight class))
 PUBLIC = {
@@ -37,11 +37,11 @@ PUBLIC = {
     "alg7": (lambda g, k: cp.alg7_metric_4cp(g), (12, 4, "metric")),
     "alg8": (lambda g, k: pp.alg8_metric_4pp(g), (12, 4, "metric")),
     "reduce12": (
-        lambda g, k: red.solve_12_via_01(g, exact_oracle_solver("cycle", k)),
+        lambda g, k: red.solve_12_via_01(g, k, lambda h: optimal_k_packing(h, k, "cycle")[0]),
         (12, 4, "one_two"),
     ),
     "3cp911": (
-        lambda g, k: red.three_cp_9_11(g, exact_oracle_solver("cycle", 3)),
+        lambda g, k: red.three_cp_9_11(g, lambda h: optimal_k_packing(h, 3, "cycle")[0]),
         (12, 3, "one_two"),
     ),
 }
