@@ -13,9 +13,12 @@ come from CHANGE's ``BENCHMARK.json``.
 Writes a JSON file with the machine (cores, Python, numpy), the two commits,
 one run of the tier-1 tests per checkout (its wall time and pytest's last
 line), a per-call table and, per workload and end-to-end metric, each
-side's median [Q1, Q3] over the pairs, the ratio of the medians and the
-pairs the change wins; a run that fails any operation is counted.  Each run
-writes a new file, rewritten after every workload.
+side's median [Q1, Q3] over the pairs, the ratio of the medians, the pairs
+the change wins and ``past_bound``: whether the change's median is worse
+than the parent's by more than the metric's ``bound`` (a share of the
+parent's median); a run that fails any operation is counted.  Each run
+writes a new file, rewritten after every workload, and ends by printing
+one line per metric past its bound.
 
 The per-call table times the exact DPs and the matching engine alone
 (``CALL_SCRIPT``) in ``--pairs`` pairs of subprocesses, one per checkout,
@@ -154,7 +157,8 @@ def quartiles(values: list) -> list:
 
 def summarize(runs: list, metrics: list) -> dict:
     """Per metric: each side's [median, Q1, Q3], the ratio of the medians
-    (change / parent) and the pairs the change wins."""
+    (change / parent), the pairs the change wins, the metric's bound and
+    whether the change's median is worse than the parent's by more than it."""
     out = {}
     for m in metrics:
         name = m["name"]
@@ -162,6 +166,9 @@ def summarize(runs: list, metrics: list) -> dict:
         higher = m["better"] == "higher"
         wins = sum((c > p) if higher else (c < p) for p, c in zip(side["parent"], side["change"]))
         par, chg = quartiles(side["parent"]), quartiles(side["change"])
+        # from the unrounded medians, as the quartiles are rounded
+        par_med, chg_med = (statistics.median(side[s]) for s in ("parent", "change"))
+        worse = par_med - chg_med if higher else chg_med - par_med
         out[name] = {
             "unit": m["unit"],
             "better": m["better"],
@@ -169,8 +176,22 @@ def summarize(runs: list, metrics: list) -> dict:
             "change": chg,
             "ratio": float(f"{chg[0] / par[0]:.4g}") if par[0] else None,
             "wins": wins,
+            "bound": m["bound"],
+            "past_bound": worse > m["bound"] * abs(par_med),
         }
     return out
+
+
+def past_bound(report: dict) -> list:
+    """One line per workload and end-to-end metric whose change median is
+    worse than the parent's by more than the metric's bound."""
+    return [
+        f"past bound: {w} {name} {m['parent'][0]} -> {m['change'][0]} {m['unit']} "
+        f"(ratio {m['ratio']}, bound {m['bound']}, change wins {m['wins']}/{res['pairs']})"
+        for w, res in report["workloads"].items()
+        for name, m in res["metrics"].items()
+        if m["past_bound"]
+    ]
 
 
 def main(argv=None) -> int:
@@ -213,6 +234,8 @@ def main(argv=None) -> int:
             "metrics": summarize(runs, bench["end_to_end"]),
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for line in past_bound(report):
+        print(line)
     return 0
 
 

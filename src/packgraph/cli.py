@@ -123,7 +123,10 @@ def _parse_matching_file(path: str, n: int):
         if len(ids) != 2:
             raise ValueError(f"{path}: line {line!r} is not the two ids of an edge")
         edges.append(ids)
-    return make_matching(edges)
+    try:
+        return make_matching(edges)
+    except ValueError as exc:  # a self-loop, or edges that share a vertex
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_plan_file(path: str, matching, n: int):
@@ -131,13 +134,16 @@ def _parse_plan_file(path: str, matching, n: int):
     isolated vertex ids of the group."""
     if matching is None:
         raise ValueError("--override-plan needs --override-matching")
-    groups = []
-    iso = []
+    groups, iso, used = [], [], set()
     for line in text_lines(_read_text(path, "--override-plan")):
         left, colon, right = line.partition(":")
         if not colon or ":" in right:
             raise ValueError(f"{path}: line {line!r} needs exactly one ':'")
         idx = _indices(left.split(), matching.size, f"{path}: edge index")
+        for i in idx:
+            if i in used:
+                raise ValueError(f"{path}: edge index {i} used twice")
+            used.add(i)
         groups.append(tuple(matching.edges[i] for i in idx))
         ids = _indices(right.split(), n, f"{path}: vertex id")
         if not ids:

@@ -6,9 +6,10 @@ the ratio the paper proves for it by weight class, and one body that maps a
 intermediates.  A ``Run`` holds the instance and the options of one run and
 computes the shared intermediates (the tour, M*, the size-p matchings) once.
 Calling the spec is the one gate of every entry point: it refuses an
-inadmissible k, runs the body, refuses an invalid packing, and warns once
-when the input lies outside the classes the guarantee covers and is not
-metric.  Each public function is one call of its spec.
+inadmissible k and an override the body does not read, runs the body,
+refuses an invalid packing, and warns once when the input lies outside the
+classes the guarantee covers and is not metric.  Each public function is
+one call of its spec.
 
 Covers the TSP-splitting constructions (tour -> k-paths -> k-cycles), the
 matching-based construction for odd k, and the two contraction-based
@@ -151,6 +152,7 @@ class AlgorithmSpec:
     # and so every audit of a run, covers
     guarantee: dict
     body: Callable  # Run -> (packing, the audits of its lemmas)
+    reads: Optional[str] = None  # the override the body reads: "matching" (M*), "plan" or none
 
     def admits(self, k) -> bool:
         return int(k) == k and int(k) in self.ks
@@ -171,12 +173,17 @@ class AlgorithmSpec:
             raise ValueError(f"{self.name} needs {self.admissible_k}, got k={k}")
 
     def __call__(self, r: Run):
-        """Run the algorithm; returns (packing, audits), or raises PackingError
-        if the packing is not a valid k-packing of the instance.  The
-        guarantee, not the validity of the packing, depends on the weight
-        class, so input outside the covered classes gets a warning, not an error."""
+        """Run the algorithm; returns (packing, audits).  Raises ValueError
+        for an override the body does not read (with a plan, the matching
+        override is only the plan's index base), and PackingError if the
+        packing is not a valid k-packing of the instance.  The guarantee, not
+        the validity of the packing, depends on the weight class, so input
+        outside the covered classes gets a warning, not an error."""
         self.require(r.k)
         require_divisible(r.g.n, r.k)
+        given = "plan" if r.plan else "matching" if r.matching_override else None
+        if given not in (None, self.reads):
+            raise ValueError(f"{self.name} does not read a {given} override")
         packing, audits = self.body(r)
         err = validate_packing(r.g, packing, r.k, self.kind)
         if err:
@@ -194,9 +201,10 @@ class AlgorithmSpec:
         return packing, audits
 
 
-def _algorithm(name: str, kind: str, ks: range, guarantee: dict):
-    """Make the decorated body the algorithm ``name``."""
-    return lambda body: AlgorithmSpec(name, kind, ks, guarantee, body)
+def _algorithm(name: str, kind: str, ks: range, guarantee: dict, reads: Optional[str] = None):
+    """Make the decorated body the algorithm ``name``, which reads the
+    override ``reads``."""
+    return lambda body: AlgorithmSpec(name, kind, ks, guarantee, body, reads)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +390,7 @@ def _splice_matching(r: Run, kind: str):
 
 
 @_algorithm("alg3", "cycle", range(3, _NO_MAX, 2),
-            dict.fromkeys(METRIC, lambda k: F(3 * k - 1, 4 * k)))
+            dict.fromkeys(METRIC, lambda k: F(3 * k - 1, 4 * k)), reads="plan")
 def ALG3(r: Run):
     return _splice_matching(r, "cycle")
 
@@ -435,7 +443,8 @@ def _contract(g: WeightedCompleteGraph, mstar: Matching, closed: bool):
     return tuple(best[i, j] for i, j in pairs), sum(wmat[i][j] for i, j in pairs)
 
 
-@_algorithm("alg6", "cycle", range(4, 5), dict.fromkeys(WEIGHT_CLASSES, lambda k: F(3, 4)))
+@_algorithm("alg6", "cycle", range(4, 5), dict.fromkeys(WEIGHT_CLASSES, lambda k: F(3, 4)),
+            reads="matching")
 def ALG6(r: Run):
     g, mstar = r.g, r.matching
     blocks, super_w = r.contraction(closed=False)
@@ -460,7 +469,7 @@ def alg6_general_4cp(
 
 
 @_algorithm("alg7", "cycle", range(4, 5),
-            {"metric": lambda k: F(5, 6), "one_two": lambda k: F(7, 8)})
+            {"metric": lambda k: F(5, 6), "one_two": lambda k: F(7, 8)}, reads="matching")
 def ALG7(r: Run):
     cycles, _ = r.contraction(closed=True)
     used = {frozenset(e) for c in cycles for e in zip(c, c[1:] + c[:1])}

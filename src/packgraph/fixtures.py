@@ -167,12 +167,17 @@ def _oracle_values(fx: Fixture) -> dict:
 def _fig2_rows(fx: Fixture) -> dict:
     """fig2's values from its five rows, as the full n=25 DP does not fit
     the memory budget: the weight of each row's best 5-cycle (-1 unless all
-    are alike) and, as the optimum, the packing of the rows."""
+    are alike) and, as the optimum, the weight of the packing of the rows
+    where it meets an upper bound (else -1).  Each vertex has exactly two
+    edges in a cycle packing, so OPT <= floor(1/2 sum_v (its two heaviest
+    weights))."""
     rows = tuple(tuple(range(5 * i, 5 * i + 5)) for i in range(5))
     row_w = {best_k_tour_on_set(fx.graph, row, "cycle")[1] for row in rows}
+    rows_w = packing_weight(fx.graph, KCyclePacking(k=5, cycles=rows))
+    bound = int(np.sort(fx.graph.w, axis=1)[:, -2:].sum()) // 2
     return {
         "row_cycle_weight": row_w.pop() if len(row_w) == 1 else -1,
-        "opt_weight": packing_weight(fx.graph, KCyclePacking(k=5, cycles=rows)),
+        "opt_weight": rows_w if rows_w == bound else -1,
     }
 
 

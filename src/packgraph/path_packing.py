@@ -45,7 +45,7 @@ def alg4_tsp_kpp(
     return ALG4(Run(g, k, tsp_solver))[0]
 
 
-@_algorithm("alg5", "path", range(4, _NO_MAX, 2), dict.fromkeys(METRIC))
+@_algorithm("alg5", "path", range(4, _NO_MAX, 2), dict.fromkeys(METRIC), reads="plan")
 def ALG5(r: Run):
     return _splice_matching(r, "path")
 
@@ -70,7 +70,7 @@ def _heavier(g: WeightedCompleteGraph, first, second):
 
 
 @_algorithm("kpp-combined", "path", range(4, _NO_MAX, 2), dict.fromkeys(
-    METRIC, lambda k: F(27 * k * k - 48 * k + 16, 32 * k * k - 36 * k - 24)))
+    METRIC, lambda k: F(27 * k * k - 48 * k + 16, 32 * k * k - 36 * k - 24)), reads="plan")
 def KPP_COMBINED(r: Run):
     return _heavier(r.g, _split_tour(r), _splice_matching(r, "path"))
 
@@ -83,7 +83,8 @@ def metric_kpp_combined(
     return KPP_COMBINED(Run(g, k, tsp_solver))[0]
 
 
-@_algorithm("general4pp", "path", range(4, 5), dict.fromkeys(WEIGHT_CLASSES, lambda k: F(3, 4)))
+@_algorithm("general4pp", "path", range(4, 5), dict.fromkeys(WEIGHT_CLASSES, lambda k: F(3, 4)),
+            reads="matching")
 def GENERAL_4PP(r: Run):
     return KPathPacking(4, r.contraction(closed=False)[0]), []
 
@@ -95,7 +96,8 @@ def general_4pp(
     return GENERAL_4PP(Run(g, 4, matching_override=matching_override))[0]
 
 
-@_algorithm("alg8", "path", range(4, 5), dict.fromkeys(METRIC, lambda k: F(14, 17)))
+@_algorithm("alg8", "path", range(4, 5), dict.fromkeys(METRIC, lambda k: F(14, 17)),
+            reads="matching")
 def ALG8(r: Run):
     g = r.g
     mm = r.matching_of_size(g.n // 4)

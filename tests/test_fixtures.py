@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from packgraph import fixtures
 from packgraph.fixtures import FIXTURE_IDS, get_fixture, run_fixture_checks
 from packgraph.graph import is_metric, validate_packing
 
@@ -38,3 +41,22 @@ def test_fig2_optimum_is_bounded_from_above():
     fx = get_fixture("fig2")
     assert fx.graph.w.max() <= 2
     assert fx.graph.n * 2 == fx.expected["opt_weight"] == 50
+
+
+def test_fig2_rows_count_as_the_optimum_only_at_the_upper_bound(monkeypatch):
+    build = fixtures._BUILDERS["fig2_5cp"]
+
+    def variant():
+        # row 1 loses its edge v5 v1 (off the plan's matching), and a cross
+        # edge at each of its ends gains: the rows weigh 49, the bound on OPT
+        # still reads 50, and the expected values claim the rows' weight
+        fx = build()
+        w = fx.graph.w.copy()
+        for (u, v), weight in (((4, 0), 1), ((4, 9), 2), ((0, 5), 2)):
+            w[u, v] = w[v, u] = weight
+        return dataclasses.replace(fx, graph=dataclasses.replace(fx.graph, w=w),
+                                   expected={**fx.expected, "opt_weight": 49})
+
+    monkeypatch.setitem(fixtures._BUILDERS, "fig2_5cp", variant)
+    checks = {name: (expected, actual) for name, expected, actual in run_fixture_checks("fig2")}
+    assert checks["opt_weight"] == (49, -1)

@@ -146,3 +146,23 @@ def test_kpp_combined_splices_on_the_run_plan():
 
     assert group_audits("kpp-combined", rotated) != group_audits("kpp-combined", None)
     assert group_audits("kpp-combined", rotated) == group_audits("alg5", rotated)
+
+
+@pytest.mark.parametrize("seed", [4, 6, 14, 15])
+def test_combined_algorithms_break_ties_to_the_first_candidate(monkeypatch, seed):
+    # on these instances both candidates of each pick weigh alike and differ
+    g = generate_instance(8, "one_two", seed=seed)
+    candidates = []
+    heavier = pp._heavier
+
+    def recorded(g, first, second):
+        candidates.append((first[0], second[0]))
+        return heavier(g, first, second)
+
+    monkeypatch.setattr(pp, "_heavier", recorded)
+    for name, first in (("kpp-combined", "alg4"), ("alg8", "general4pp")):
+        candidates.clear()
+        packing, _ = run_algorithm(g, name, 4)
+        ((a, b),) = candidates
+        assert packing_weight(g, a) == packing_weight(g, b) and a != b
+        assert packing == a == run_algorithm(g, first, 4)[0]

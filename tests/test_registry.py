@@ -20,6 +20,7 @@ from packgraph.graph import (
     KPathPacking,
     generate_instance,
     is_metric,
+    make_matching,
     validate_packing,
 )
 from packgraph.oracles import ALGORITHMS, audit_instance, optimal_k_packing, run_algorithm
@@ -94,6 +95,30 @@ def test_registry_runs_the_library_algorithm_with_overrides():
         m = fx.matching_override
         packing, _ = run_algorithm(fx.graph, name, 4, matching_override=m)
         assert packing == call(fx.graph, m)
+
+
+# the override each body reads; none for the rest
+READS = {
+    "alg6": "matching", "alg7": "matching", "general4pp": "matching", "alg8": "matching",
+    "alg3": "plan", "alg5": "plan", "kpp-combined": "plan",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_a_spec_refuses_the_overrides_its_body_does_not_read(name):
+    assert ALGORITHMS[name].reads == READS.get(name)
+    _, (n, k, klass) = PUBLIC[name]
+    g = generate_instance(n, klass, seed=0)
+    pairs = make_matching((v, v + 1) for v in range(0, n, 2))
+    # with a plan, the matching override is only the plan's index base
+    plan = cp.EdgeGroupPlan(groups=(), isolated=())
+    for given, overrides in (("matching", {"matching_override": pairs}),
+                             ("plan", {"matching_override": pairs, "plan": plan})):
+        if READS.get(name) != given:
+            with pytest.raises(ValueError, match=f"^{name} does not read a {given} override$"):
+                run_algorithm(g, name, k, **overrides)
+            with pytest.raises(ValueError, match=f"^{name} does not read a {given} override$"):
+                audit_instance(g, k, [name], **overrides)
 
 
 @given(st.data())
