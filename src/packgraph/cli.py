@@ -175,36 +175,29 @@ def cmd_solve(args) -> int:
         raise ValueError("--k is required for file inputs")
     kind = algorithm_spec(algo, k).kind
     require_divisible(g.n, k)
-    matching_override = _override(
+    # the matching is parsed first, as the index base of a plan file
+    matching = _override(
         args.override_matching, "matching", fx and fx.matching_override,
         lambda path: _parse_matching_file(path, g.n),
     )
     plan = _override(
         args.override_plan, "plan", fx and fx.plan_override,
-        lambda path: _parse_plan_file(path, matching_override, g.n),
+        lambda path: _parse_plan_file(path, matching, g.n),
     )
+    override = matching if plan is None else plan
     # the tour solver is passed at call time, so that a wrapper bound to
     # the name exact_max_tsp sees every call
     if args.oracle:
         try:
-            (rep,) = audit_instance(
-                g,
-                k,
-                [algo],
-                tsp_solver=exact_max_tsp,
-                matching_override=matching_override,
-                plan=plan,
-            )
+            (rep,) = audit_instance(g, k, [algo], tsp_solver=exact_max_tsp, override=override)
         except OracleCapError:
             # fixtures carry a scripted optimum instead
             if fx is None:
                 raise
-            rep = _fixture_oracle_report(g, fx, algo, k, matching_override, plan)
+            rep = _fixture_oracle_report(g, fx, algo, k, override)
         packing = rep.packing
     else:
-        packing, _ = run_algorithm(
-            g, algo, k, exact_max_tsp, matching_override=matching_override, plan=plan
-        )
+        packing, _ = run_algorithm(g, algo, k, exact_max_tsp, override=override)
     doc = {
         "instance": getattr(args, "in"),
         "algorithm": algo,
@@ -239,15 +232,11 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _fixture_oracle_report(g, fx, algo, k, matching_override, plan):
-    packing, audits = run_algorithm(
-        g, algo, k, exact_max_tsp, matching_override=matching_override, plan=plan
-    )
-    # the fixture's own run needs no second run for its checks; a plan
-    # carries its own matching, so with one the matching override plays no part
-    scripted = (algo, k, plan) == (fx.algorithm, fx.k, fx.plan_override) and (
-        plan is not None or matching_override == fx.matching_override
-    )
+def _fixture_oracle_report(g, fx, algo, k, override):
+    packing, audits = run_algorithm(g, algo, k, exact_max_tsp, override=override)
+    # the fixture's own run needs no second run for its checks
+    paper = fx.plan_override or fx.matching_override
+    scripted = (algo, k, override) == (fx.algorithm, fx.k, paper)
     for name, expected, actual in run_fixture_checks(fx.id, packing if scripted else None):
         if expected != actual:
             raise VerificationFailure(f"{fx.id} {name}: expected {expected}, got {actual}")

@@ -6,7 +6,7 @@ the ratio the paper proves for it by weight class, and one body that maps a
 intermediates.  A ``Run`` holds the instance and the options of one run and
 computes the shared intermediates (the tour, M*, the size-p matchings) once.
 Calling the spec is the one gate of every entry point: it refuses an
-inadmissible k and an override the body does not read, runs the body,
+inadmissible k and an override the body does not read (``check``), runs the body,
 refuses an invalid packing, and warns once when the input lies outside the
 classes the guarantee covers and is not metric.  Each public function is
 one call of its spec.
@@ -99,8 +99,7 @@ class Run:
     g: WeightedCompleteGraph
     k: int
     tsp_solver: TspSolver = exact_max_tsp
-    matching_override: Optional[Matching] = None
-    plan: Optional[EdgeGroupPlan] = None
+    override: Optional[Matching | EdgeGroupPlan] = None  # M* or the plan
     _computed: dict = field(default_factory=dict)
 
     def _once(self, fn, *args):
@@ -121,13 +120,14 @@ class Run:
 
     @cached_property
     def matching(self) -> Matching:
-        """M* as the contraction algorithms take it: the override, which must
-        be perfect, if one is given."""
-        if self.matching_override is None:
+        """M* as the contraction algorithms take it: the matching override,
+        which must be perfect, if one is given."""
+        m = self.override
+        if not isinstance(m, Matching):
             return self.mstar
-        if 2 * self.matching_override.size != self.g.n:
+        if 2 * m.size != self.g.n:
             raise ValueError("matching override is not perfect")
-        return self.matching_override
+        return m
 
     def matching_of_size(self, p: int) -> Matching:
         """A maximum-weight matching of exactly p edges."""
@@ -152,7 +152,7 @@ class AlgorithmSpec:
     # and so every audit of a run, covers
     guarantee: dict
     body: Callable  # Run -> (packing, the audits of its lemmas)
-    reads: Optional[str] = None  # the override the body reads: "matching" (M*), "plan" or none
+    reads: Optional[type] = None  # the override the body reads: Matching (M*), EdgeGroupPlan
 
     def admits(self, k) -> bool:
         return int(k) == k and int(k) in self.ks
@@ -172,18 +172,23 @@ class AlgorithmSpec:
         if not self.admits(k):
             raise ValueError(f"{self.name} needs {self.admissible_k}, got k={k}")
 
-    def __call__(self, r: Run):
-        """Run the algorithm; returns (packing, audits).  Raises ValueError
-        for an override the body does not read (with a plan, the matching
-        override is only the plan's index base), and PackingError if the
-        packing is not a valid k-packing of the instance.  The guarantee, not
-        the validity of the packing, depends on the weight class, so input
-        outside the covered classes gets a warning, not an error."""
+    def check(self, r: Run) -> None:
+        """ValueError unless r.k is admissible and divides n, and the run's
+        override, if any, is the one the body reads; computes nothing."""
         self.require(r.k)
         require_divisible(r.g.n, r.k)
-        given = "plan" if r.plan else "matching" if r.matching_override else None
-        if given not in (None, self.reads):
-            raise ValueError(f"{self.name} does not read a {given} override")
+        given = type(r.override)
+        if r.override is not None and given is not self.reads:
+            name = {Matching: "matching", EdgeGroupPlan: "plan"}.get(given, given.__name__)
+            raise ValueError(f"{self.name} does not read a {name} override")
+
+    def __call__(self, r: Run):
+        """Run the algorithm; returns (packing, audits).  Raises ValueError
+        where ``check`` does, and PackingError if the packing is not a valid
+        k-packing of the instance.  The guarantee, not the validity of the
+        packing, depends on the weight class, so input outside the covered
+        classes gets a warning, not an error."""
+        self.check(r)
         packing, audits = self.body(r)
         err = validate_packing(r.g, packing, r.k, self.kind)
         if err:
@@ -201,7 +206,7 @@ class AlgorithmSpec:
         return packing, audits
 
 
-def _algorithm(name: str, kind: str, ks: range, guarantee: dict, reads: Optional[str] = None):
+def _algorithm(name: str, kind: str, ks: range, guarantee: dict, reads: Optional[type] = None):
     """Make the decorated body the algorithm ``name``, which reads the
     override ``reads``."""
     return lambda body: AlgorithmSpec(name, kind, ks, guarantee, body, reads)
@@ -350,7 +355,7 @@ def _splice_matching(r: Run, kind: str):
     """Alg.3 (cycles, odd k) and Alg.5 (paths, even k): a maximum-weight
     matching of size (n/k)m in groups of m = (k-1)/2 resp. (k-2)/2 edges,
     each group spliced with its isolated vertex resp. endpoint pair, as the
-    run's plan says if it has one.  A plan override must use a matching of
+    run's plan override says if it has one.  A plan override must use a matching of
     optimal weight, and the ends of each of its groups must be a tuple of
     isolated vertices, one for a cycle, two for a path.
 
@@ -361,7 +366,7 @@ def _splice_matching(r: Run, kind: str):
     groups = g.n // k
     m = (k - iso) // 2
     opt_matching = r.matching_of_size(groups * m)
-    plan = r.plan
+    plan = r.override
     if plan is None:
         plan = default_plan(g, opt_matching, groups, iso_per_group=iso)
     else:
@@ -390,7 +395,7 @@ def _splice_matching(r: Run, kind: str):
 
 
 @_algorithm("alg3", "cycle", range(3, _NO_MAX, 2),
-            dict.fromkeys(METRIC, lambda k: F(3 * k - 1, 4 * k)), reads="plan")
+            dict.fromkeys(METRIC, lambda k: F(3 * k - 1, 4 * k)), reads=EdgeGroupPlan)
 def ALG3(r: Run):
     return _splice_matching(r, "cycle")
 
@@ -405,7 +410,7 @@ def alg3_matching_kcp_odd(
     each group's cycle.  A plan override reproduces adversarial fixtures; it
     must use a matching of optimal weight.
     """
-    return ALG3(Run(g, k, plan=plan))[0]
+    return ALG3(Run(g, k, override=plan))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +449,7 @@ def _contract(g: WeightedCompleteGraph, mstar: Matching, closed: bool):
 
 
 @_algorithm("alg6", "cycle", range(4, 5), dict.fromkeys(WEIGHT_CLASSES, lambda k: F(3, 4)),
-            reads="matching")
+            reads=Matching)
 def ALG6(r: Run):
     g, mstar = r.g, r.matching
     blocks, super_w = r.contraction(closed=False)
@@ -464,12 +469,12 @@ def alg6_general_4cp(
     Returns (cycle packing, the intermediate 4-path packing P4); the path
     packing weight equals w(M*) + w(contracted matching).
     """
-    C4, _ = ALG6(Run(g, 4, matching_override=matching_override))
+    C4, _ = ALG6(Run(g, 4, override=matching_override))
     return C4, KPathPacking(4, C4.cycles)
 
 
 @_algorithm("alg7", "cycle", range(4, 5),
-            {"metric": lambda k: F(5, 6), "one_two": lambda k: F(7, 8)}, reads="matching")
+            {"metric": lambda k: F(5, 6), "one_two": lambda k: F(7, 8)}, reads=Matching)
 def ALG7(r: Run):
     cycles, _ = r.contraction(closed=True)
     used = {frozenset(e) for c in cycles for e in zip(c, c[1:] + c[:1])}
@@ -487,4 +492,4 @@ def alg7_metric_4cp(
     super-vertices yields the maximum-weight 4-cycle packing containing every
     edge of M*.
     """
-    return ALG7(Run(g, 4, matching_override=matching_override))[0]
+    return ALG7(Run(g, 4, override=matching_override))[0]

@@ -189,16 +189,15 @@ def run_fixture_checks(fixture_id: str, packing=None) -> list:
     """Re-derive every expected value; returns (name, expected, actual) rows
     in the order of ``Fixture.expected``.
 
-    ``packing`` is the packing of the fixture's algorithm under its overrides
+    ``packing`` is the packing of the fixture's algorithm under its override
     when the caller has already run it; otherwise it is run here.
     """
     fx = get_fixture(fixture_id)
     g = fx.graph
     assert check_weight_class(g, g.class_tag)
     if packing is None:
-        packing, _ = run_algorithm(
-            g, fx.algorithm, fx.k, matching_override=fx.matching_override, plan=fx.plan_override
-        )
+        override = fx.plan_override or fx.matching_override
+        packing, _ = run_algorithm(g, fx.algorithm, fx.k, override=override)
     # w(M) of a heaviest matching of the override's size
     p = fx.matching_override.size
     actual = {

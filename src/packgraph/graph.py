@@ -84,7 +84,7 @@ class Matching:
         seen = set()
         for u, v in self.edges:
             if u == v:
-                raise PackingError(f"self-loop {u}{v} in matching")
+                raise PackingError(f"self-loop ({u}, {v}) in matching")
             if u in seen or v in seen:
                 raise PackingError("matching edges share a vertex")
             seen.add(u)

@@ -348,11 +348,11 @@ def run_algorithm(
     name: str,
     k: int,
     tsp_solver=exact_max_tsp,
-    matching_override: Optional[Matching] = None,
-    plan: Optional[cp.EdgeGroupPlan] = None,
+    override: Optional[Matching | cp.EdgeGroupPlan] = None,
 ):
-    """Run one named algorithm; returns (packing, audit entries)."""
-    return algorithm_spec(name, k)(Run(g, k, tsp_solver, matching_override, plan))
+    """Run one named algorithm, with M* or its plan overridden if
+    ``override`` is given; returns (packing, audit entries)."""
+    return algorithm_spec(name, k)(Run(g, k, tsp_solver, override))
 
 
 def audit_instance(
@@ -360,28 +360,31 @@ def audit_instance(
     k: int,
     algorithms: Sequence[str],
     tsp_solver=exact_max_tsp,
-    matching_override: Optional[Matching] = None,
-    plan: Optional[cp.EdgeGroupPlan] = None,
+    override: Optional[Matching | cp.EdgeGroupPlan] = None,
 ) -> list:
     """Run each algorithm, compare against the exact oracle, audit lemmas.
 
     The tour, M*, the size-p matchings and the optima are computed once for
-    the instance and shared by all algorithms and audits.  The optima come
-    first, one per kind: the cycle and path optima of one shape have the
-    same estimate, so one that does not fit the memory budget raises
-    OracleCapError before anything else is computed.  An algorithm's own
+    the instance and shared by all algorithms and audits.  Each spec's
+    ``check`` comes first, so an inadmissible k or an override an algorithm
+    does not read is refused before any work.  The optima come next, one per
+    kind: the cycle and path optima of one shape have the same estimate, so
+    one that does not fit the memory budget raises OracleCapError before
+    anything else is computed.  An algorithm's own
     audits are gated (``RatioReport.gated``) only on the weight classes its
     proof covers; elsewhere they are reported but may fail.  Besides, the
     kCP optimum is audited against the exact tour (metric classes, where the
     tour fits the budget) and against M* (even k).
     """
     specs = [algorithm_spec(name, k) for name in algorithms]
+    r = Run(g, k, tsp_solver, override)
+    for spec in specs:
+        spec.check(r)
     tour_audit = g.class_tag in METRIC and _tour_footprint(g).fits
     kinds = {spec.kind for spec in specs}
     if tour_audit or (k % 2 == 0 and g.n % 2 == 0):
         kinds.add("cycle")
     optimum = {kind: optimal_k_packing(g, k, kind)[1] for kind in sorted(kinds)}
-    r = Run(g, k, tsp_solver, matching_override, plan)
     global_audits = []
     if tour_audit:
         hw = cycle_weight(g, r.tour(exact_max_tsp).order)

@@ -45,7 +45,7 @@ def alg4_tsp_kpp(
     return ALG4(Run(g, k, tsp_solver))[0]
 
 
-@_algorithm("alg5", "path", range(4, _NO_MAX, 2), dict.fromkeys(METRIC), reads="plan")
+@_algorithm("alg5", "path", range(4, _NO_MAX, 2), dict.fromkeys(METRIC), reads=EdgeGroupPlan)
 def ALG5(r: Run):
     return _splice_matching(r, "path")
 
@@ -59,7 +59,7 @@ def alg5_matching_kpp_even(
     isolated endpoints each, orientations maximizing each spliced path.  On
     metric inputs the total weight is >= (3k-4)/(2k-4) of the matching weight.
     """
-    return ALG5(Run(g, k, plan=plan))[0]
+    return ALG5(Run(g, k, override=plan))[0]
 
 
 def _heavier(g: WeightedCompleteGraph, first, second):
@@ -70,7 +70,7 @@ def _heavier(g: WeightedCompleteGraph, first, second):
 
 
 @_algorithm("kpp-combined", "path", range(4, _NO_MAX, 2), dict.fromkeys(
-    METRIC, lambda k: F(27 * k * k - 48 * k + 16, 32 * k * k - 36 * k - 24)), reads="plan")
+    METRIC, lambda k: F(27 * k * k - 48 * k + 16, 32 * k * k - 36 * k - 24)), reads=EdgeGroupPlan)
 def KPP_COMBINED(r: Run):
     return _heavier(r.g, _split_tour(r), _splice_matching(r, "path"))
 
@@ -84,7 +84,7 @@ def metric_kpp_combined(
 
 
 @_algorithm("general4pp", "path", range(4, 5), dict.fromkeys(WEIGHT_CLASSES, lambda k: F(3, 4)),
-            reads="matching")
+            reads=Matching)
 def GENERAL_4PP(r: Run):
     return KPathPacking(4, r.contraction(closed=False)[0]), []
 
@@ -93,11 +93,11 @@ def general_4pp(
     g: WeightedCompleteGraph, matching_override: Optional[Matching] = None
 ) -> KPathPacking:
     """The 4-path packing produced by the general 4CP contraction."""
-    return GENERAL_4PP(Run(g, 4, matching_override=matching_override))[0]
+    return GENERAL_4PP(Run(g, 4, override=matching_override))[0]
 
 
 @_algorithm("alg8", "path", range(4, 5), dict.fromkeys(METRIC, lambda k: F(14, 17)),
-            reads="matching")
+            reads=Matching)
 def ALG8(r: Run):
     g = r.g
     mm = r.matching_of_size(g.n // 4)

@@ -286,7 +286,8 @@ def test_out_of_range_input_exits_2(capsys, tmp_path):
         (g12, "alg7", "4", "0 1 2\n", None, "m.txt: line '0 1 2' is not the two ids of an edge"),
         (g12, "alg7", "4", pairs + "10 x\n", None, "m.txt: vertex id 'x' is not an integer"),
         (g15, "alg3", "5", "0 1\n0 2\n", None, "m.txt: matching edges share a vertex"),
-        (g15, "alg3", "5", "0 0\n", None, "m.txt: self-loop 00 in matching"),
+        (g15, "alg3", "5", "0 0\n", None, "m.txt: self-loop (0, 0) in matching"),
+        (g12, "alg7", "4", pairs, None, "error: matching override is not perfect"),
         (g15, "alg3", "5", pairs + "10 11\n", "0 0 : 12\n2 3 : 13\n4 5 : 14\n",
          "p.txt: edge index 0 used twice"),
     ]
@@ -303,13 +304,18 @@ def test_out_of_range_input_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
-def test_an_override_the_algorithm_does_not_read_exits_2(capsys, tmp_path, oracle):
+def test_an_override_the_algorithm_does_not_read_exits_2(capsys, tmp_path, monkeypatch, oracle):
+    from packgraph import oracles
+
+    calls = []
+    monkeypatch.setattr(oracles, "optimal_k_packing", lambda *args: calls.append(args))
     inst, m = tmp_path / "g.pg", tmp_path / "m.txt"
     run_cli(capsys, "gen", "--n", "15", "--class", "metric", "--out", str(inst))
     m.write_text("".join(f"{v} {v + 1}\n" for v in range(0, 12, 2)))  # not of maximum weight
     code, out, err = run_cli(capsys, "solve", "--in", str(inst), "--algo", "alg3", "--k", "5",
                              "--override-matching", str(m), *oracle)
     assert (code, out, err) == (2, "", "error: alg3 does not read a matching override\n")
+    assert calls == []  # refused before the oracle
 
 
 @pytest.mark.parametrize("n, klass, algo, k",

@@ -127,13 +127,13 @@ def test_splice_refuses_plan_ends_that_are_not_its_isolated_vertices(name, k, is
     groups = 12 // k
     matching = max_weight_matching_of_size(g, groups * ((k - iso) // 2))
     plan = cp.default_plan(g, matching, groups, iso)
-    assert run_algorithm(g, name, k, plan=plan)[0] == run_algorithm(g, name, k)[0]
+    assert run_algorithm(g, name, k, override=plan)[0] == run_algorithm(g, name, k)[0]
     v = plan.isolated[1][0]
     # a bare id, the other kind's count of ids, and matched vertices
     for ends in (v, (v,) * (3 - iso), plan.groups[1][0][:iso]):
         bad = cp.EdgeGroupPlan(plan.groups, plan.isolated[:1] + (ends,) + plan.isolated[2:])
         with pytest.raises(ValueError, match=r"^plan group 1: ends "):
-            run_algorithm(g, name, k, plan=bad)
+            run_algorithm(g, name, k, override=bad)
 
 
 def test_the_spec_refuses_the_invalid_packing_of_a_malformed_plan():
@@ -141,9 +141,9 @@ def test_the_spec_refuses_the_invalid_packing_of_a_malformed_plan():
     for violation, plan in plans.items():
         message = f"^alg3 produced an invalid packing: {violation}"
         with pytest.raises(PackingError, match=message):
-            run_algorithm(g, "alg3", 5, plan=plan)
+            run_algorithm(g, "alg3", 5, override=plan)
         with pytest.raises(PackingError, match=message):
-            audit_instance(g, 5, ["alg3"], plan=plan)
+            audit_instance(g, 5, ["alg3"], override=plan)
 
 
 def test_group_cycle_contains_matching_and_isolated():

@@ -15,6 +15,7 @@ from packgraph.graph import (
     KPathPacking,
     cycle_weight,
     generate_instance,
+    make_matching,
     packing_weight,
     path_weight,
     validate_packing,
@@ -261,10 +262,29 @@ def test_audit_refuses_before_running_anything(monkeypatch):
     assert calls == [18] and "tsp_vs_opt_kcp" in [a.name for a in report.gated]
 
 
+def test_audit_refuses_an_unread_override_before_the_oracle(monkeypatch):
+    # at n = 21, k = 7 the oracle takes over a second before alg3 could
+    # refuse the matching override it does not read
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return optimal_k_packing(*args)
+
+    monkeypatch.setattr(oracles, "optimal_k_packing", counted)
+    g = generate_instance(21, "metric", seed=0)
+    pairs = make_matching((v, v + 1) for v in range(0, 12, 2))
+    with pytest.raises(ValueError, match="^alg3 does not read a matching override$"):
+        audit_instance(g, 7, ["alg3"], override=pairs)
+    assert calls == []
+    audit_instance(generate_instance(9, "metric", seed=0), 3, ["alg3"])
+    assert calls == [(3, "cycle")]
+
+
 def test_audit_fig5_alg7():
     fx = get_fixture("fig5")
     (rep,) = audit_instance(
-        fx.graph, 4, ["alg7"], matching_override=fx.matching_override
+        fx.graph, 4, ["alg7"], override=fx.matching_override
     )
     assert rep.ratio == Fraction(5, 6)
     assert rep.all_audits_hold
@@ -273,7 +293,7 @@ def test_audit_fig5_alg7():
 def test_audit_fig3_alg6():
     fx = get_fixture("fig3")
     (rep,) = audit_instance(
-        fx.graph, 4, ["alg6"], matching_override=fx.matching_override
+        fx.graph, 4, ["alg6"], override=fx.matching_override
     )
     assert rep.ratio == Fraction(3, 4)
     assert rep.all_audits_hold

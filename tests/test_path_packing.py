@@ -127,7 +127,7 @@ def test_alg8_returns_the_heavier_of_its_candidates(seed, spliced, contracted):
 def test_alg8_contracts_the_matching_override():
     fx = get_fixture("fig3")  # {0, 1} weights: outside alg8's guarantee
     m = {frozenset(e) for e in fx.matching_override.edges}
-    packing, _ = run_algorithm(fx.graph, "alg8", 4, matching_override=fx.matching_override)
+    packing, _ = run_algorithm(fx.graph, "alg8", 4, override=fx.matching_override)
     # here the contraction packing P4 wins, and each of its blocks u x y z
     # joins two override edges {u, x} and {y, z}
     for u, x, y, z in packing.paths:
@@ -141,7 +141,7 @@ def test_kpp_combined_splices_on_the_run_plan():
     rotated = cp.EdgeGroupPlan(default.groups, default.isolated[1:] + default.isolated[:1])
 
     def group_audits(name, plan):
-        _, audits = run_algorithm(g, name, 4, plan=plan)
+        _, audits = run_algorithm(g, name, 4, override=plan)
         return [a for a in audits if a.name.startswith("group_path")]
 
     assert group_audits("kpp-combined", rotated) != group_audits("kpp-combined", None)

@@ -18,6 +18,7 @@ from packgraph.fixtures import get_fixture
 from packgraph.graph import (
     KCyclePacking,
     KPathPacking,
+    Matching,
     generate_instance,
     is_metric,
     make_matching,
@@ -84,7 +85,7 @@ def test_registry_runs_the_library_algorithm(name):
 
 def test_registry_runs_the_library_algorithm_with_overrides():
     fx = get_fixture("fig2")
-    packing, _ = run_algorithm(fx.graph, "alg3", 5, plan=fx.plan_override)
+    packing, _ = run_algorithm(fx.graph, "alg3", 5, override=fx.plan_override)
     assert packing == cp.alg3_matching_kcp_odd(fx.graph, 5, plan=fx.plan_override)
     for fid, name, call in (
         ("fig3", "alg6", lambda g, m: cp.alg6_general_4cp(g, m)[0]),
@@ -93,32 +94,31 @@ def test_registry_runs_the_library_algorithm_with_overrides():
     ):
         fx = get_fixture(fid)
         m = fx.matching_override
-        packing, _ = run_algorithm(fx.graph, name, 4, matching_override=m)
+        packing, _ = run_algorithm(fx.graph, name, 4, override=m)
         assert packing == call(fx.graph, m)
 
 
-# the override each body reads; none for the rest
+# the type of the override each body reads; none for the rest
 READS = {
-    "alg6": "matching", "alg7": "matching", "general4pp": "matching", "alg8": "matching",
-    "alg3": "plan", "alg5": "plan", "kpp-combined": "plan",
+    "alg6": Matching, "alg7": Matching, "general4pp": Matching, "alg8": Matching,
+    "alg3": cp.EdgeGroupPlan, "alg5": cp.EdgeGroupPlan, "kpp-combined": cp.EdgeGroupPlan,
 }
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_a_spec_refuses_the_overrides_its_body_does_not_read(name):
-    assert ALGORITHMS[name].reads == READS.get(name)
+    assert ALGORITHMS[name].reads is READS.get(name)
     _, (n, k, klass) = PUBLIC[name]
     g = generate_instance(n, klass, seed=0)
     pairs = make_matching((v, v + 1) for v in range(0, n, 2))
-    # with a plan, the matching override is only the plan's index base
     plan = cp.EdgeGroupPlan(groups=(), isolated=())
-    for given, overrides in (("matching", {"matching_override": pairs}),
-                             ("plan", {"matching_override": pairs, "plan": plan})):
-        if READS.get(name) != given:
+    # no spec reads a bare list of edges
+    for given, override in (("matching", pairs), ("plan", plan), ("list", list(pairs.edges))):
+        if READS.get(name) is not type(override):
             with pytest.raises(ValueError, match=f"^{name} does not read a {given} override$"):
-                run_algorithm(g, name, k, **overrides)
+                run_algorithm(g, name, k, override=override)
             with pytest.raises(ValueError, match=f"^{name} does not read a {given} override$"):
-                audit_instance(g, k, [name], **overrides)
+                audit_instance(g, k, [name], override=override)
 
 
 @given(st.data())
