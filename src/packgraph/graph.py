@@ -377,9 +377,9 @@ def validate_packing(g, packing, k: int, kind: str) -> Optional[str]:
             if v in seen:
                 return f"duplicated vertex {v}"
             seen.add(v)
-    if len(seen) != g.n:
-        missing = min(set(range(g.n)) - seen)
-        return f"missing vertex {missing}"
+    missing = set(range(g.n)) - seen
+    if missing:
+        return f"missing vertex {min(missing)}"
     return None
 
 

@@ -10,6 +10,7 @@ from conftest import malformed_alg3_plans
 from packgraph.cli import ALGORITHMS, guarantee_bound, main
 from packgraph.graph import load_instance, save_instance
 from packgraph.matching import max_weight_matching_of_size
+from packgraph.oracles import audit_instance
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +182,25 @@ def test_fixtures_command(capsys, tmp_path):
     assert (tmp_path / "fig3_general4cp.matching").exists()
 
 
+def test_fixtures_fails_on_a_wrong_expected_value(capsys, monkeypatch, tmp_path):
+    import dataclasses
+
+    from packgraph import fixtures
+
+    build = fixtures._BUILDERS["fig3_general4cp"]
+
+    def wrong():
+        fx = build()
+        return dataclasses.replace(fx, expected={**fx.expected, "alg_weight": 10})
+
+    monkeypatch.setitem(fixtures._BUILDERS, "fig3_general4cp", wrong)
+    code, out, err = run_cli(capsys, "fixtures", "--id", "fig3", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "fig3_general4cp alg_weight: expected 10, got 9 [FAIL]\n" in out
+    assert out.count("[ok]") == 3
+    assert err == "fixture verification FAILED\n"
+
+
 def test_fixtures_fig2_writes_plan(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "fixtures", "--id", "fig2",
                            "--out-dir", str(tmp_path))
@@ -218,6 +238,38 @@ def test_bench_gates_own_audits_only_on_covered_classes(capsys, klass):
     assert [(r[0], r[4]) for r in rows] == [
         (str(seed), a) for seed in range(10) for a in algos
     ] + [("summary", a) for a in algos]
+
+
+BENCH_ALG7 = ("bench", "--k", "4", "--class", "metric", "--n", "8", "--count", "3",
+              "--algos", "alg7")
+
+
+def test_bench_fails_on_a_failing_gated_audit(capsys, monkeypatch):
+    from packgraph import cli
+    from packgraph.cycle_packing import AuditEntry
+
+    def failing(*args, **kwargs):
+        reports = audit_instance(*args, **kwargs)
+        for rep in reports:
+            rep.gated.append(AuditEntry("forced", Fraction(0), Fraction(1)))
+        return reports
+
+    monkeypatch.setattr(cli, "audit_instance", failing)
+    code, out, err = run_cli(capsys, *BENCH_ALG7)
+    assert (code, out, err) == (1, "", "verification failure: audit failed: seed=0 algo=alg7\n")
+
+
+def test_bench_fails_below_the_guarantee_after_writing_its_csv(capsys, monkeypatch, tmp_path):
+    from packgraph import cli
+
+    passed, failed = tmp_path / "passed.csv", tmp_path / "failed.csv"
+    assert run_cli(capsys, *BENCH_ALG7, "--out", str(passed))[0] == 0
+    minimum = passed.read_text().splitlines()[-1].split(",")[7].removeprefix("min=")
+    monkeypatch.setattr(cli, "guarantee_bound", lambda *args: Fraction(2))
+    code, out, err = run_cli(capsys, *BENCH_ALG7, "--out", str(failed))
+    assert (code, out) == (1, "")
+    assert err == f"verification failure: alg7: min ratio {Fraction(minimum)} below guarantee 2\n"
+    assert failed.read_text() == passed.read_text()
 
 
 def test_bench_unknown_algo(capsys):
@@ -301,6 +353,13 @@ def test_out_of_range_input_exits_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), message
         assert message in err and "Traceback" not in err
+
+
+def test_a_malformed_instance_file_exits_2(capsys, tmp_path):
+    inst = tmp_path / "short.pg"
+    inst.write_text("packgraph 1 n=3 class=general\n1 2\n")
+    code, out, err = run_cli(capsys, "solve", "--in", str(inst), "--algo", "alg1", "--k", "3")
+    assert (code, out, err) == (2, "", "error: expected 3 weights, got 2\n")
 
 
 @pytest.mark.parametrize("oracle", [[], ["--oracle"]])

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -73,11 +74,26 @@ def test_save_load_roundtrip_random_matrices(w, denom):
     _assert_roundtrip(WeightedCompleteGraph(n=len(w), w=w, denom=denom))
 
 
-def test_load_rejects_garbage():
-    with pytest.raises(FormatError):
-        load_instance("not a packgraph file")
-    with pytest.raises(FormatError):
-        load_instance("packgraph 2 n=3 class=general\n1 2\n3\n")
+# one document per FormatError of load_instance, and its message
+MALFORMED_DOCUMENTS = [
+    ("# only a comment\n", "empty document"),
+    ("not a packgraph file", "bad header: 'not a packgraph file'"),
+    ("packgraph 2 n=3 class=general\n1 2\n3\n", "bad header: 'packgraph 2 n=3 class=general'"),
+    ("packgraph 1 n=3 general\n1 2\n3\n", "bad header token 'general'"),
+    ("packgraph 1 k=3 class=general\n1 2\n3\n", "bad header fields: 'n'"),
+    ("packgraph 1 n=three class=general\n1 2\n3\n", "bad header fields: invalid literal"),
+    ("packgraph 1 n=3 class=metrc\n1 2\n3\n", "unknown class tag 'metrc'"),
+    ("packgraph 1 n=3 class=general\n1 2\nx\n", "non-integer weight 'x'"),
+    ("packgraph 1 n=3 class=general\n1 2\n", "expected 3 weights, got 2"),
+    ("packgraph 1 n=3 class=general\n1 -2\n3\n", "negative weight"),
+    (f"packgraph 1 n=3 class=general\n1 {2**63}\n3\n", f"weight {2**63} does not fit in int64"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_DOCUMENTS)
+def test_load_rejects_garbage(doc, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
+        load_instance(doc)
 
 
 def test_load_downgrades_bad_class_declaration():
@@ -188,6 +204,13 @@ def test_validate_packing_examples():
     assert "blocks" in msg or "missing vertex" in msg
     missing = KCyclePacking(k=4, cycles=((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 10)))
     assert validate_packing(g, missing, 4, "cycle") is not None
+    assert validate_packing(g, FIG3_OPT, 5, "cycle") == "n=12 not divisible by k=5"
+    assert validate_packing(g, FIG3_OPT, 3, "cycle") == "packing declares k=4, expected 3"
+    far = KCyclePacking(k=4, cycles=FIG3_OPT.cycles[:2] + ((5, 6, 11, 12),))
+    assert validate_packing(g, far, 4, "cycle") == "vertex 12 out of range"
+    # twelve distinct ids in range, one of them not a vertex
+    half = KCyclePacking(k=4, cycles=FIG3_OPT.cycles[:2] + ((5, 6, 11, 0.5),))
+    assert validate_packing(g, half, 4, "cycle") == "missing vertex 0"
     # the least k is checked before n % k
     for k in (0, -3):
         empty = KCyclePacking(k=k, cycles=())
@@ -213,8 +236,16 @@ def test_packing_weight_examples():
     assert packing_weight(z, KCyclePacking(k=4, cycles=((0, 1, 2, 3),))) == 0
 
 
-def test_graph_validation():
-    with pytest.raises(ValueError):
-        graph_from_matrix([[0, 1], [2, 0]])  # asymmetric
-    with pytest.raises(ValueError):
-        graph_from_matrix([[0, -1], [-1, 0]])  # negative
+@pytest.mark.parametrize("rows, fields, message", [
+    ([[0, 1], [1, 0]], {}, "need at least 3 vertices, got 2"),
+    ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], {"n": 4}, "weight matrix shape mismatch"),
+    ([[0, -1, 2], [-1, 0, 3], [2, 3, 0]], {}, "negative weight"),
+    ([[1, 1, 2], [1, 0, 3], [2, 3, 0]], {}, "self-loop weight must be zero"),
+    ([[0, 1, 2], [4, 0, 3], [2, 3, 0]], {}, "weight matrix not symmetric"),
+    ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], {"denom": 0}, "denominator must be positive"),
+    ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], {"class_tag": "metrc"}, "unknown weight class 'metrc'"),
+])
+def test_graph_validation(rows, fields, message):
+    w = np.array(rows, dtype=np.int64)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WeightedCompleteGraph(**{"n": len(rows), "w": w, **fields})
