@@ -6,10 +6,10 @@ the ratio the paper proves for it by weight class, and one body that maps a
 intermediates.  A ``Run`` holds the instance and the options of one run and
 computes the shared intermediates (the tour, M*, the size-p matchings) once.
 Calling the spec is the one gate of every entry point: it refuses an
-inadmissible k and an override the body does not read (``check``), runs the body,
-refuses an invalid packing, and warns once when the input lies outside the
-classes the guarantee covers and is not metric.  Each public function is
-one call of its spec.
+inadmissible k and an override the body does not read (``check``), runs
+the body, refuses an invalid packing, and warns once when the input lies
+outside the classes the guarantee covers and is not metric.  Each public
+function is one call of its spec.
 
 Covers the TSP-splitting constructions (tour -> k-paths -> k-cycles), the
 matching-based construction for odd k, and the two contraction-based
@@ -152,7 +152,7 @@ class AlgorithmSpec:
     # and so every audit of a run, covers
     guarantee: dict
     body: Callable  # Run -> (packing, the audits of its lemmas)
-    reads: Optional[type] = None  # the override the body reads: Matching (M*), EdgeGroupPlan
+    reads: Optional[type] = None  # the override type the body reads: Matching (M*), EdgeGroupPlan
 
     def admits(self, k) -> bool:
         return int(k) == k and int(k) in self.ks
@@ -355,9 +355,9 @@ def _splice_matching(r: Run, kind: str):
     """Alg.3 (cycles, odd k) and Alg.5 (paths, even k): a maximum-weight
     matching of size (n/k)m in groups of m = (k-1)/2 resp. (k-2)/2 edges,
     each group spliced with its isolated vertex resp. endpoint pair, as the
-    run's plan override says if it has one.  A plan override must use a matching of
-    optimal weight, and the ends of each of its groups must be a tuple of
-    isolated vertices, one for a cycle, two for a path.
+    run's override, a plan, says if it has one.  The plan must use a
+    matching of optimal weight, and the ends of each of its groups must be a
+    tuple of isolated vertices, one for a cycle, two for a path.
 
     Returns (packing, the audits w(block) >= (3m+1)/(2m) w(group edges)).
     """

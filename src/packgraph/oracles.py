@@ -370,11 +370,11 @@ def audit_instance(
     does not read is refused before any work.  The optima come next, one per
     kind: the cycle and path optima of one shape have the same estimate, so
     one that does not fit the memory budget raises OracleCapError before
-    anything else is computed.  An algorithm's own
-    audits are gated (``RatioReport.gated``) only on the weight classes its
-    proof covers; elsewhere they are reported but may fail.  Besides, the
-    kCP optimum is audited against the exact tour (metric classes, where the
-    tour fits the budget) and against M* (even k).
+    anything else is computed.  An algorithm's own audits are gated
+    (``RatioReport.gated``) only on the weight classes its proof covers;
+    elsewhere they are reported but may fail.  Besides, the kCP optimum is
+    audited against the exact tour (metric classes, where the tour fits the
+    budget) and against M* (even k).
     """
     specs = [algorithm_spec(name, k) for name in algorithms]
     r = Run(g, k, tsp_solver, override)

@@ -70,7 +70,8 @@ def _heavier(g: WeightedCompleteGraph, first, second):
 
 
 @_algorithm("kpp-combined", "path", range(4, _NO_MAX, 2), dict.fromkeys(
-    METRIC, lambda k: F(27 * k * k - 48 * k + 16, 32 * k * k - 36 * k - 24)), reads=EdgeGroupPlan)
+    METRIC, lambda k: F(27 * k * k - 48 * k + 16, 32 * k * k - 36 * k - 24)),
+    reads=EdgeGroupPlan)
 def KPP_COMBINED(r: Run):
     return _heavier(r.g, _split_tour(r), _splice_matching(r, "path"))
 
