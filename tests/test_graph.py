@@ -90,10 +90,10 @@ MALFORMED_DOCUMENTS = [
 ]
 
 
-@pytest.mark.parametrize("doc, message", MALFORMED_DOCUMENTS)
-def test_load_rejects_garbage(doc, message):
-    with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
-        load_instance(doc)
+def test_load_rejects_garbage():
+    for doc, message in MALFORMED_DOCUMENTS:
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
+            load_instance(doc)
 
 
 def test_load_downgrades_bad_class_declaration():
@@ -236,7 +236,9 @@ def test_packing_weight_examples():
     assert packing_weight(z, KCyclePacking(k=4, cycles=((0, 1, 2, 3),))) == 0
 
 
-@pytest.mark.parametrize("rows, fields, message", [
+# one matrix per refusal of WeightedCompleteGraph, the fields that differ
+# from its defaults, and the message
+INVALID_GRAPHS = [
     ([[0, 1], [1, 0]], {}, "need at least 3 vertices, got 2"),
     ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], {"n": 4}, "weight matrix shape mismatch"),
     ([[0, -1, 2], [-1, 0, 3], [2, 3, 0]], {}, "negative weight"),
@@ -244,8 +246,11 @@ def test_packing_weight_examples():
     ([[0, 1, 2], [4, 0, 3], [2, 3, 0]], {}, "weight matrix not symmetric"),
     ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], {"denom": 0}, "denominator must be positive"),
     ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], {"class_tag": "metrc"}, "unknown weight class 'metrc'"),
-])
-def test_graph_validation(rows, fields, message):
-    w = np.array(rows, dtype=np.int64)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        WeightedCompleteGraph(**{"n": len(rows), "w": w, **fields})
+]
+
+
+def test_graph_validation():
+    for rows, fields, message in INVALID_GRAPHS:
+        w = np.array(rows, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WeightedCompleteGraph(**{"n": len(rows), "w": w, **fields})

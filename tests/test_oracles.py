@@ -263,8 +263,8 @@ def test_audit_refuses_before_running_anything(monkeypatch):
 
 
 def test_audit_refuses_an_unread_override_before_the_oracle(monkeypatch):
-    # at n = 21, k = 7 the oracle takes over a second before alg3 could
-    # refuse the matching override it does not read
+    # at n = 21, k = 7 the exact oracle is the costliest step of the audit;
+    # the matching override alg3 does not read is refused before it runs
     calls = []
 
     def counted(*args):
