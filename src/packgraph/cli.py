@@ -184,7 +184,7 @@ def cmd_solve(args) -> int:
         args.override_plan, "plan", fx and fx.plan_override,
         lambda path: _parse_plan_file(path, matching, g.n),
     )
-    override = matching if plan is None else plan
+    override = plan or matching
     # the tour solver is passed at call time, so that a wrapper bound to
     # the name exact_max_tsp sees every call
     if args.oracle:
