@@ -26,9 +26,14 @@ the parent first in even pairs.  Each subprocess times every call on
 ``CALL_REPEATS`` metric instances, after one call that builds the index
 tables the later ones find; the table holds each side's median [Q1, Q3]
 over all these times, in ms, their ratio, and the pairs the change wins
-(its median of a pair's calls below the parent's).  The memo keeps popcount
-tables up to 18 bits, so the tour at n = 20 and the oracle at n = 21
-rebuild theirs on every call.
+(its median of a pair's calls below the parent's).  After each call's
+times the subprocess also reads the bytes the memo of ``tsp`` keeps and
+its own peak RSS (``ru_maxrss``), so the memory of the kept tables sits
+beside their times: the table holds each side's median of both, in MB,
+as ``memo_mb`` and ``peak_rss_mb``.  The calls run in the order listed,
+so both count what the calls before kept.  The memo keeps popcount tables
+up to 18 bits, so the tour at n = 20 and the oracle at n = 21 rebuild
+theirs on every call.
 """
 
 from __future__ import annotations
@@ -46,9 +51,11 @@ from pathlib import Path
 CALL_REPEATS = 5
 
 # run in a checkout: per call, the seconds of CALL_REPEATS calls (argv[1])
-# on metric instances, after one call that builds the index tables
+# on metric instances, after one call that builds the index tables, then
+# the bytes the memo keeps and the process's peak RSS in KiB
 CALL_SCRIPT = """
-import json, sys, time
+import json, resource, sys, time
+from packgraph import tsp
 from packgraph.graph import generate_instance
 from packgraph.matching import max_weight_matching_of_size, max_weight_perfect_matching
 from packgraph.oracles import optimal_k_packing
@@ -68,11 +75,13 @@ out = {}
 for name, (n, call) in CALLS.items():
     graphs = [generate_instance(n, "metric", seed=s) for s in range(int(sys.argv[1]) + 1)]
     call(graphs[0])
-    out[name] = []
+    seconds = []
     for g in graphs[1:]:
         start = time.perf_counter()
         call(g)
-        out[name].append(time.perf_counter() - start)
+        seconds.append(time.perf_counter() - start)
+    out[name] = {"seconds": seconds, "memo_bytes": tsp._MEMO.nbytes,
+                 "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
 print(json.dumps(out))
 """
 
@@ -85,7 +94,7 @@ def src_env() -> dict:
 
 
 def time_calls(checkout: Path) -> dict:
-    """Seconds of each call of ``CALL_SCRIPT`` in one subprocess of the checkout."""
+    """What ``CALL_SCRIPT`` reads per call in one subprocess of the checkout."""
     proc = subprocess.run([sys.executable, "-c", CALL_SCRIPT, str(CALL_REPEATS)],
                           cwd=checkout, env=src_env(),
                           capture_output=True, text=True, check=False)
@@ -96,14 +105,18 @@ def time_calls(checkout: Path) -> dict:
 
 def per_call(parent: Path, change: Path, pairs: int) -> dict:
     """Per call of ``CALL_SCRIPT``: each side's [median, Q1, Q3] in ms over
-    ``pairs`` alternating subprocesses, the ratio of the medians and the
-    pairs the change wins."""
+    ``pairs`` alternating subprocesses, the ratio of the medians, the pairs
+    the change wins, and each side's median over the subprocesses of the
+    memo's bytes and the peak RSS after the call, in MB."""
     times = {"parent": {}, "change": {}}  # side -> name -> one list per pair
+    memory = {"parent": {}, "change": {}}  # side -> name -> one (memo, rss) per pair
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            for name, ts in time_calls(parent if side == "parent" else change).items():
-                times[side].setdefault(name, []).append([t * 1e3 for t in ts])
+            for name, res in time_calls(parent if side == "parent" else change).items():
+                times[side].setdefault(name, []).append([t * 1e3 for t in res["seconds"]])
+                memory[side].setdefault(name, []).append(
+                    (res["memo_bytes"] / 2**20, res["maxrss_kb"] / 1024))
     table = {}
     for name, par_pairs in times["parent"].items():
         chg_pairs = times["change"][name]
@@ -111,6 +124,11 @@ def per_call(parent: Path, change: Path, pairs: int) -> dict:
         wins = sum(statistics.median(c) < statistics.median(p) for p, c in zip(par_pairs, chg_pairs))
         table[name] = {"parent": par, "change": chg, "ratio": float(f"{chg[0] / par[0]:.4g}"),
                        "wins": wins}
+        for i, key in enumerate(("memo_mb", "peak_rss_mb")):
+            table[name][key] = {
+                side: float(f"{statistics.median(r[i] for r in memory[side][name]):.4g}")
+                for side in ("parent", "change")
+            }
     return {"pairs": pairs, "repeats": CALL_REPEATS, "unit": "ms", "calls": table}
 
 

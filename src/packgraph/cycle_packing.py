@@ -146,7 +146,7 @@ class AlgorithmSpec:
 
     name: str
     kind: str  # "cycle" | "path"
-    ks: range  # the admissible k
+    ks: range  # the admissible k: one k, or open-ended (up to _NO_MAX)
     # weight class -> the proven ratio as a function of k, or None where the
     # algorithm has no ratio of its own; the keys are the classes its proof,
     # and so every audit of a run, covers
@@ -163,9 +163,7 @@ class AlgorithmSpec:
         if len(ks) == 1:
             return f"k = {ks.start}"
         parity = "" if ks.step == 1 else ("odd " if ks.start % 2 else "even ")
-        if ks.stop == _NO_MAX:
-            return f"{parity}k >= {ks.start}"
-        return f"{parity}{ks.start} <= k <= {ks[-1]}"
+        return f"{parity}k >= {ks.start}"
 
     def require(self, k) -> None:
         """ValueError unless k is admissible."""

@@ -5,9 +5,14 @@ Held-Karp over (subset, endpoint) states, vectorized per popcount layer.  It
 gives the exact tour here, and the exact oracle's best k-cycles and k-paths
 in ``oracles``.  Each layer is stored vertex-major, ``dp[j, rank[S]]``, so
 that one step of the DP is an add and an elementwise max over contiguous
-rows, taken for many path ends at once.  The layers hold the narrowest of
-int16, int32 and int64 that the sum of m + 1 weights fits in; every sum
-read back from them is taken in int64 or Python ints.  Because the tour is
+rows, taken for many path ends at once.  The tables that move a layer's
+maxima to the entries of the next depend only on the shape.  The memo keeps
+them as one gather index per layer, whose sentinel column holds the
+no-path value, for each shape whose index takes at most half its 10 MB
+budget (the tour up to n = 18); a larger shape builds them as boolean
+masks on every call.  The layers hold the narrowest of int16, int32 and
+int64 that the sum of m + 1 weights fits in; every sum read back from them
+is taken in int64 or Python ints.  Because the tour is
 exact, its weight dominates any approximate tour, so every downstream ratio
 guarantee that is stated for an approximate TSP black box remains valid
 with it plugged in.
@@ -42,11 +47,15 @@ _STEP_BUDGET = 1 << 18
 # the most entries of one temporary array of the kernel's step tables and
 # of the partition DP (unless the blocks of one set are more)
 _CHUNK = 1 << 16
+# a kept gather index of fewer entries holds absolute intp positions, read
+# by one gather per step; a larger one holds positions within each row in
+# a narrower dtype, read by one gather per row
+_FLAT_INDEX = 1 << 15
 # bytes of index tables the memo keeps: the popcount tables, the kernel's
-# step positions and the partition DP's block columns and ranks of the
-# shapes called most recently; 8 MB holds the n = 16 tour's positions
-# (3.75 MB) with every audit-small shape's tables
-_MEMO_BYTES = 8 << 20
+# gather indexes and the partition DP's block columns and ranks of the
+# shapes called most recently; 10 MB holds the tours at n = 16 and 18
+# (6.9 MB with their popcount tables) with every audit-small shape's tables
+_MEMO_BYTES = 10 << 20
 
 
 class OracleCapError(ValueError):
@@ -121,15 +130,32 @@ def _popcounts(m: int):
     return masks, rank
 
 
-def _step_masks(layers: list, top: int, anchored: bool, flat: bool):
+def _index_dtype(m: int, c: int) -> np.dtype:
+    """The dtype of the kept gather index of step c on m vertices: intp
+    for one of fewer than ``_FLAT_INDEX`` entries, else the narrowest
+    unsigned dtype that holds its sentinel, C(m, c - 1)."""
+    if m * comb(m, c) < _FLAT_INDEX:
+        return np.dtype(np.intp)
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32)
+                if comb(m, c - 1) <= np.iinfo(t).max)
+
+
+def _step_tables(layers: list, top: int, anchored: bool, gather: bool):
     """For each step c = 2..top of the kernel on m vertices, whose masks by
-    popcount are ``layers``: (sources, ends), the (m, C(m, c - 1)) and
-    (m, C(m, c)) boolean tables whose row j holds the masks of layer c - 1
-    that j extends, those without j (anchored: with a vertex below j), and
-    the masks of layer c that end at j.  Each layer's membership tests are
-    computed once and give the next step's sources.  The tables are yielded
-    raveled, which index the raveled layers: as the flat intp positions of
-    their entries with ``flat``, else as the boolean masks themselves.
+    popcount are ``layers``, the tables that move the maxima over layer
+    c - 1 to the entries of layer c they reach.
+
+    They come from (sources, ends), the (m, C(m, c - 1)) and (m, C(m, c))
+    boolean tables whose row j holds the masks of layer c - 1 that j
+    extends, those without j (anchored: with a vertex below j), and the
+    masks of layer c that end at j.  Each layer's membership tests are
+    computed once and give the next step's sources.  Without ``gather``
+    the two tables are yielded raveled.  With it, the step's gather index
+    is yielded alone: idx[j, r] is the rank of S - {j} in layer c - 1 when
+    j ends the r-th mask S of layer c, else C(m, c - 1), the sentinel
+    column, in ``_index_dtype(m, c)``.  An intp index holds absolute
+    positions in the (m, C(m, c - 1) + 1) maxima, a narrower one positions
+    within its row.
     """
     m = len(layers) - 1
     bits = 1 << np.arange(m, dtype=np.int32)[:, None]
@@ -153,10 +179,18 @@ def _step_masks(layers: list, top: int, anchored: bool, flat: bool):
     for c in range(2, top + 1):
         sources = ~ends if above is None else above ^ ends
         ends, above = tests(c)
-        if flat:
-            yield np.flatnonzero(sources), np.flatnonzero(ends)
-        else:
+        if not gather:
             yield sources.ravel(), ends.ravel()
+            continue
+        width = sources.shape[1]
+        idx = np.full(ends.shape, width, dtype=_index_dtype(m, c))
+        for j in range(m):
+            # removing bit j keeps masks in order: the r-th end of row j
+            # comes from its r-th source
+            idx[j, ends[j]] = np.flatnonzero(sources[j])
+        if idx.dtype == np.intp:
+            idx += np.arange(0, m * (width + 1), width + 1)[:, None]
+        yield (idx,)
 
 
 def _step_rows(size: int, m: int) -> int:
@@ -170,7 +204,7 @@ class _Footprint(NamedTuple):
     dtype: type  # of the kernel's layers
     sums: int  # entries of the kernel's buffer for the sums of a step
     reduced: int  # entries of the kernel's buffer for a layer's maxima
-    steps: int  # bytes of the kernel's step positions, which the memo may keep
+    steps: int  # bytes of the kernel's gather indexes, which the memo may keep
     work: int  # bytes the kernel's steps take at once, freed with its last layer
     total: int  # bytes of the whole call
 
@@ -192,15 +226,14 @@ def _footprint(m: int, top: int, max_w: int) -> _Footprint:
     - the masks of m bits by popcount and their ranks, 4 bytes a mask each,
       and 2 more that list them;
     - the layers, in their dtype;
-    - the step positions, where the memo keeps them;
+    - the gather indexes, where the memo keeps them;
     - ``work``, what the kernel's steps take, freed when the last layer is
       made.
-    The step positions are 8 bytes per source and per end: a mask of layer
-    c has c of each (anchored, c - 1; both are charged c).  A step takes
-    its buffers of sums and maxima, the values it moves, and one layer's
-    step tables, built with up to 6 bytes of boolean tables per entry of
-    the largest layer.  The oracle adds its partition DP's share
-    (``oracles._require_packing_fit``).
+    The gather index of step c has one entry per entry of layer c, in
+    ``_index_dtype``.  A step takes its buffers of sums and maxima, the
+    values it moves, and one layer's step tables, built with up to 6 bytes
+    of boolean tables per entry of the largest layer.  The oracle adds its
+    partition DP's share (``oracles._require_packing_fit``).
     """
     bound = (m + 1) * max_w
     if bound > _INT64_MAX:
@@ -214,8 +247,8 @@ def _shape_footprint(m: int, top: int, dtype: type, budget: int) -> _Footprint:
     b = np.dtype(dtype).itemsize
     size = [m * comb(m, c) for c in range(top + 1)]  # entries of layer c
     sums = max([_step_rows(s, m) * s for s in size[1:top]], default=0)
-    reduced = max(size[1:top], default=0)
-    steps = 8 * sum(2 * c * comb(m, c) for c in range(2, top + 1))
+    reduced = max(size[1:top], default=0) + m  # with the sentinel column
+    steps = sum(m * comb(m, c) * _index_dtype(m, c).itemsize for c in range(2, top + 1))
     kept = steps if _keeps(steps, budget) else 0
     work = b * (sums + reduced + max(size)) + 6 * max(size)
     total = (10 << m) + b * sum(size) + kept + work
@@ -252,20 +285,25 @@ def _held_karp(
     A step extends each column of layer c - 1 by the edge to j, a max over
     the m contiguous rows, and keeps the masks without j (anchored: with a
     vertex below j).  Removing bit j keeps masks in order, so these are, in
-    order, the sources of the masks of layer c that end at j.  These tables
-    of sources and ends (``_step_masks``) depend only on (m, top, anchored).
-    Where the memo keeps a shape, it holds them as flat intp positions,
-    built once; elsewhere they are built layer by layer on every call and
-    read as raveled boolean masks, which index the same entries.
+    order, the sources of the masks of layer c that end at j.  These step
+    tables (``_step_tables``) depend only on (m, top, anchored).  Where the
+    memo keeps a shape, it holds one gather index per step, built once,
+    that lists for each entry of layer c the column of the maxima it takes,
+    or a sentinel column of the no-path value.  Elsewhere the tables are
+    built layer by layer on every call, as raveled boolean masks of the
+    sources and ends.
 
     The maxima of a layer are taken a run of ends j at a time: a run adds
     the edges into its ends to the whole layer and reduces over the source
-    axis into its rows of one (m, C(m, c - 1)) buffer.  A run spans as many
-    rows as keep its sums within ``_STEP_BUDGET`` entries, at least one, so
-    the middle layers of m = 17 take one row per run.  One gather and one
-    scatter then move the maxima of the sources to their ends, each row
-    holding as many of one as of the other.  All steps share the buffers
-    of sums and maxima, allocated once per call.
+    axis into its rows of one buffer, (m, C(m, c - 1) + 1) with the
+    sentinel column where the index is kept.  A run spans as many rows as
+    keep its sums within ``_STEP_BUDGET`` entries, at least one, so the
+    middle layers of m = 17 take one row per run.  A kept index then fills
+    layer c by one gather per step (intp positions) or per row (positions
+    within the row); boolean masks fill it with the no-path value, then
+    move the maxima of the sources to their ends by one gather and one
+    scatter.  All steps share the buffers of sums and maxima, allocated
+    once per call.
     """
     m = len(first)
     unset = np.iinfo(fp.dtype).min
@@ -277,20 +315,32 @@ def _held_karp(
     np.fill_diagonal(dps[0], first)  # layer 1 lists 1 << v at column v
     buf = np.empty(fp.sums, dtype=fp.dtype)
     maxima = np.empty(fp.reduced, dtype=fp.dtype)
-    flat = _keeps(fp.steps, _MEMO.budget)
+    gather = _keeps(fp.steps, _MEMO.budget)
     tables = _MEMO.tables(
-        ("held_karp", m, top, anchored), fp.steps, lambda: _step_masks(masks, top, anchored, flat)
+        ("held_karp", m, top, anchored), fp.steps,
+        lambda: _step_tables(masks, top, anchored, gather),
     )
-    for dp, nxt, (sources, ends) in zip(dps, dps[1:], tables):
-        red = maxima[: dp.size].reshape(dp.shape)
+    for dp, nxt, step in zip(dps, dps[1:], tables):
+        width = dp.shape[1]
+        red = maxima[: m * (width + gather)].reshape(m, -1)
         rows = _step_rows(dp.size, m)
         for j in range(0, m, rows):
             # sums[r, i, S] = dp[i, S] + w[i, j + r]; the max over i extends S to j + r
-            sums = buf[: min(rows, m - j) * dp.size].reshape(-1, m, dp.shape[1])
+            sums = buf[: min(rows, m - j) * dp.size].reshape(-1, m, width)
             np.add(dp, wt[j : j + rows, :, None], out=sums)
-            np.maximum.reduce(sums, axis=1, out=red[j : j + rows])
-        nxt.fill(unset)
-        nxt.reshape(-1)[ends] = red.reshape(-1)[sources]
+            np.maximum.reduce(sums, axis=1, out=red[j : j + rows, :width])
+        if not gather:
+            sources, ends = step
+            nxt.fill(unset)
+            nxt.reshape(-1)[ends] = red.reshape(-1)[sources]
+            continue
+        (idx,) = step
+        red[:, width] = unset
+        if idx.dtype == np.intp:
+            red.take(idx, out=nxt, mode="clip")
+        else:
+            for row, at, out in zip(red, idx, nxt):
+                row.take(at, out=out, mode="clip")
     return dps
 
 

@@ -37,7 +37,9 @@ from packgraph.tsp import (
     _STEP_BUDGET,
     _footprint,
     _held_karp,
+    _index_dtype,
     _popcounts,
+    _step_tables,
     _tour_footprint,
     exact_max_tsp,
     split_cycle_best_offset,
@@ -96,7 +98,7 @@ def _metric(n):
         # fig2's weights (<= 2) give it int16 layers, its shape's smallest
         # estimate; ``solve --in fig2 --oracle`` falls back to the fixture's
         # scripted optimum on this refusal
-        (lambda: get_fixture("fig2").graph, lambda g: optimal_k_packing(g, 5, "cycle"), 342),
+        (lambda: get_fixture("fig2").graph, lambda g: optimal_k_packing(g, 5, "cycle"), 346),
     ],
     ids=["tour-n23", "oracle-n22-k11-path", "oracle-n24-k8-cycle", "oracle-fig2-n25-k5-cycle"],
 )
@@ -211,13 +213,10 @@ def test_held_karp_matches_a_dict_reference(case):
     _assert_kernel_matches_the_reference(*case)
 
 
-def _row_run_case(dtype, anchored):
-    """Kernel inputs on m = 13 up to popcount 7, whose last layer's maxima
-    are taken in runs of fewer rows than its 13 path ends, the last run
-    shorter than the others; the heaviest weight makes the layers ``dtype``."""
-    m, top = 13, 7
-    rows = _STEP_BUDGET // (m * comb(m, top - 1))
-    assert 1 < rows < m and m % rows != 0
+def _kernel_case(m, top, dtype):
+    """Random kernel inputs (w, first) on m vertices, drawn with the seed
+    ``top``, whose heaviest weight makes the layers ``dtype`` (int16 or
+    int64)."""
     heaviest = int(np.iinfo(np.int16).max) // (m + 1)
     if dtype == np.int64:
         heaviest = int(np.iinfo(np.int32).max) // (m + 1) + 1
@@ -225,7 +224,17 @@ def _row_run_case(dtype, anchored):
     w = rng.integers(0, heaviest + 1, size=(m, m))
     np.fill_diagonal(w, 0)
     w[0, m - 1] = heaviest
-    first = rng.integers(0, heaviest + 1, size=m)
+    return w, rng.integers(0, heaviest + 1, size=m)
+
+
+def _row_run_case(dtype, anchored):
+    """Kernel inputs on m = 13 up to popcount 7, whose last layer's maxima
+    are taken in runs of fewer rows than its 13 path ends, the last run
+    shorter than the others; the heaviest weight makes the layers ``dtype``."""
+    m, top = 13, 7
+    rows = _STEP_BUDGET // (m * comb(m, top - 1))
+    assert 1 < rows < m and m % rows != 0
+    w, first = _kernel_case(m, top, dtype)
     return w.tolist(), first.tolist(), top, anchored, dtype
 
 
@@ -238,17 +247,57 @@ def test_held_karp_steps_split_into_row_runs_match_the_reference(dtype, anchored
 @pytest.mark.parametrize("anchored", [False, True])
 @pytest.mark.parametrize("dtype", [np.int16, np.int64])
 def test_held_karp_reads_kept_positions_and_built_masks_alike(monkeypatch, dtype, anchored):
-    # the memo keeps this shape's step tables as flat intp positions; a memo
-    # of no bytes keeps nothing, so the call builds raveled boolean masks
-    # (and the popcount tables)
-    case = _row_run_case(dtype, anchored)
-    key = ("held_karp", 13, 7, anchored)
-    _assert_kernel_matches_the_reference(*case)
-    assert all(a.dtype == np.intp for step in _MEMO.entries[key][1] for a in step)
-    empty = _Memo(budget=0)
-    monkeypatch.setattr(tsp, "_MEMO", empty)
-    _assert_kernel_matches_the_reference(*case)
-    assert empty.misses == 2 and not empty.entries
+    # the memo keeps each shape's gather index: absolute intp positions in
+    # the small layers, positions within a row, uint16, in the larger ones
+    # of m = 17; a memo of no bytes keeps nothing, so the call builds
+    # raveled boolean masks (and the popcount tables)
+    for m, top, index_dtypes in ((13, 7, {np.intp}), (17, 17, {np.intp, np.uint16})):
+        monkeypatch.undo()  # the module's memo again
+        w, first = _kernel_case(m, top, dtype)
+        fp = _footprint(m, top, int(max(w.max(), first.max())))
+        kept = _held_karp(w, first, top, anchored, _popcounts(m)[0], fp)
+        steps = tsp._MEMO.entries[("held_karp", m, top, anchored)][1]
+        assert {idx.dtype for (idx,) in steps} == set(map(np.dtype, index_dtypes))
+        empty = _Memo(budget=0)
+        monkeypatch.setattr(tsp, "_MEMO", empty)
+        built = _held_karp(w, first, top, anchored, _popcounts(m)[0], fp)
+        assert empty.misses == 2 and not empty.entries
+        assert len(kept) == len(built) == top
+        for a, b in zip(kept, built):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b), (m, top)
+
+
+def _moved(step, red):
+    """What one kernel step moves from the maxima ``red``, an (m, C(m, c - 1))
+    array, to layer c: -1 where no path ends; read from the per-call
+    boolean tables (sources, ends), or from a kept gather index (idx,)."""
+    m = red.shape[0]
+    if len(step) == 2:
+        sources, ends = step
+        out = np.full(ends.size, -1, dtype=red.dtype)
+        out[ends] = red.ravel()[sources]
+        return out.reshape(m, -1)
+    (idx,) = step
+    padded = np.hstack([red, np.full((m, 1), -1, dtype=red.dtype)])
+    if idx.dtype == np.intp:
+        return padded.take(idx)
+    return np.take_along_axis(padded, idx.astype(np.intp), axis=1)
+
+
+def test_gather_index_at_m19_takes_uint32_and_matches_the_boolean_tables():
+    # no memo keeps the tour's index at m = 19; this reads its builder up to
+    # layer 10, whose sentinel C(19, 9) = 92378 needs uint32
+    m, top = 19, 10
+    masks, _ = _popcounts(m)
+    for anchored in (False, True):
+        steps = zip(_step_tables(masks, top, anchored, True),
+                    _step_tables(masks, top, anchored, False))
+        for c, (kept, built) in enumerate(steps, start=2):
+            assert kept[0].dtype == _index_dtype(m, c)
+            red = np.arange(m * comb(m, c - 1)).reshape(m, -1)
+            assert np.array_equal(_moved(kept, red), _moved(built, red)), (anchored, c)
+        assert c == top and kept[0].dtype == np.uint32
 
 
 def _kept_bytes(memo):
@@ -262,10 +311,10 @@ def _kept_bytes(memo):
 
 
 def test_memo_keeps_within_its_budget(monkeypatch):
-    # n = 16 at every k, then the tours at m = 15 and 17: the shapes above
-    # half the budget (the kernel at m = 16 up to 16 and at m = 17) are built
-    # per call and never kept; the popcount tables and block columns are
-    # counted with the rest
+    # n = 16 at every k, then the tours at m = 15, 17 and 18: every shape
+    # but the kernel at m = 18, whose gather index (9.2 MB) is above half
+    # the budget, is kept, and the tours at m = 15 and 17 are kept together;
+    # the popcount tables and block columns are counted with the rest
     memo = _Memo(_MEMO_BYTES)
     monkeypatch.setattr(tsp, "_MEMO", memo)
     for kind, ks in (("path", (2, 4, 8, 16)), ("cycle", (4, 8, 16))):
@@ -274,14 +323,15 @@ def test_memo_keeps_within_its_budget(monkeypatch):
             kept = _kept_bytes(memo)
             assert sum(kept.values()) == memo.nbytes <= memo.budget
             assert kept["popcounts"] >= 8 << 16 and kept["columns"] > 0
-            assert ("held_karp", 16, 16, kind == "cycle") not in memo.entries
-    for n in (16, 18):
+            assert ("held_karp", 16, k, kind == "cycle") in memo.entries
+    for n in (16, 18, 19):
         exact_max_tsp(generate_instance(n, "metric", seed=0))
         kept = _kept_bytes(memo)
         assert sum(kept.values()) == memo.nbytes <= memo.budget
         assert ("popcounts", n - 1) in memo.entries
     assert ("held_karp", 15, 15, False) in memo.entries
-    assert ("held_karp", 17, 17, False) not in memo.entries
+    assert ("held_karp", 17, 17, False) in memo.entries
+    assert ("held_karp", 18, 18, False) not in memo.entries
 
 
 def test_an_exact_call_leaves_at_most_the_memo_budget_allocated(monkeypatch):
@@ -304,8 +354,8 @@ def test_an_exact_call_leaves_at_most_the_memo_budget_allocated(monkeypatch):
 
 
 def test_estimate_follows_the_installed_memo(monkeypatch):
-    # the tour's step positions at m = 15 (3.75 MB) are charged only where
-    # the memo keeps them, whichever memo was installed at the first estimate
+    # the tour's gather index at m = 15 (1.3 MB) is charged only where the
+    # memo keeps it, whichever memo was installed at the first estimate
     kept = _footprint(15, 15, 100)
     monkeypatch.setattr(tsp, "_MEMO", _Memo(budget=0))
     assert kept.total - _footprint(15, 15, 100).total == kept.steps > 0
