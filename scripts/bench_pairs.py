@@ -21,19 +21,22 @@ writes a new file, rewritten after every workload, and ends by printing
 one line per metric past its bound.
 
 The per-call table times the exact DPs and the matching engine alone
-(``CALL_SCRIPT``) in ``--pairs`` pairs of subprocesses, one per checkout,
-the parent first in even pairs.  Each subprocess times every call on
+(``CALL_SCRIPT``) in subprocesses of each checkout: ``CALL_PROCESSES``
+per side in each of ``--pairs`` pairs, the sides alternating, the parent
+first in even pairs.  Each subprocess times every call on
 ``CALL_REPEATS`` metric instances, after one call that builds the index
-tables the later ones find; the table holds each side's median [Q1, Q3]
-over all these times, in ms, their ratio, and the pairs the change wins
-(its median of a pair's calls below the parent's).  After each call's
-times the subprocess also reads the bytes the memo of ``tsp`` keeps and
-its own peak RSS (``ru_maxrss``), so the memory of the kept tables sits
-beside their times: the table holds each side's median of both, in MB,
-as ``memo_mb`` and ``peak_rss_mb``.  The calls run in the order listed,
-so both count what the calls before kept.  The memo keeps popcount tables
-up to 18 bits, so the tour at n = 20 and the oracle at n = 21 rebuild
-theirs on every call.
+tables the later ones find, and keeps the median of these times.  Some
+fresh processes run every call slower than the rest, so a side's row is
+read from these per-process medians: the table holds each side's median
+[Q1, Q3] over them, in ms, their ratio, and the pairs the change wins
+(the median of its processes' medians in the pair below the parent's).
+After each call's times the subprocess also reads the bytes the memo of
+``tsp`` keeps and its own peak RSS (``ru_maxrss``), so the memory of the
+kept tables sits beside their times: the table holds each side's median
+of both over its subprocesses, in MB, as ``memo_mb`` and
+``peak_rss_mb``.  The calls run in the order listed, so both count what
+the calls before kept.  The memo keeps popcount tables up to 18 bits, so
+the tour at n = 20 and the oracle at n = 21 rebuild theirs on every call.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import time
 from pathlib import Path
 
 CALL_REPEATS = 5
+CALL_PROCESSES = 3
 
 # run in a checkout: per call, the seconds of CALL_REPEATS calls (argv[1])
 # on metric instances, after one call that builds the index tables, then
@@ -105,16 +109,18 @@ def time_calls(checkout: Path) -> dict:
 
 def per_call(parent: Path, change: Path, pairs: int) -> dict:
     """Per call of ``CALL_SCRIPT``: each side's [median, Q1, Q3] in ms over
-    ``pairs`` alternating subprocesses, the ratio of the medians, the pairs
-    the change wins, and each side's median over the subprocesses of the
-    memo's bytes and the peak RSS after the call, in MB."""
-    times = {"parent": {}, "change": {}}  # side -> name -> one list per pair
-    memory = {"parent": {}, "change": {}}  # side -> name -> one (memo, rss) per pair
+    its subprocesses' medians, ``CALL_PROCESSES`` per side in each of
+    ``pairs`` pairs, the sides alternating; the ratio of the medians, the
+    pairs the change wins, and each side's median over the subprocesses of
+    the memo's bytes and the peak RSS after the call, in MB."""
+    times = {"parent": {}, "change": {}}  # side -> name -> per pair, one median per process
+    memory = {"parent": {}, "change": {}}  # side -> name -> one (memo, rss) per process
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
+        for side in order * CALL_PROCESSES:
             for name, res in time_calls(parent if side == "parent" else change).items():
-                times[side].setdefault(name, []).append([t * 1e3 for t in res["seconds"]])
+                medians = times[side].setdefault(name, [[] for _ in range(pairs)])
+                medians[i].append(statistics.median(res["seconds"]) * 1e3)
                 memory[side].setdefault(name, []).append(
                     (res["memo_bytes"] / 2**20, res["maxrss_kb"] / 1024))
     table = {}
@@ -129,7 +135,8 @@ def per_call(parent: Path, change: Path, pairs: int) -> dict:
                 side: float(f"{statistics.median(r[i] for r in memory[side][name]):.4g}")
                 for side in ("parent", "change")
             }
-    return {"pairs": pairs, "repeats": CALL_REPEATS, "unit": "ms", "calls": table}
+    return {"pairs": pairs, "processes": CALL_PROCESSES, "repeats": CALL_REPEATS,
+            "unit": "ms", "calls": table}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:

@@ -42,9 +42,7 @@ from .graph import (
     make_packing,
     matching_weight,
     packing_weight,
-    path_weight,
     require_divisible,
-    tilde_weight,
     validate_packing,
 )
 from .matching import (
@@ -52,7 +50,7 @@ from .matching import (
     max_weight_perfect_matching,
     max_weight_perfect_matching_matrix,
 )
-from .tsp import exact_max_tsp, split_cycle_best_offset, split_objective_value
+from .tsp import exact_max_tsp, split_cycle_best_offset
 
 TspSolver = Callable[[WeightedCompleteGraph], HamiltonianCycle]
 F = Fraction
@@ -233,11 +231,12 @@ def best_cycle_from_path(g: WeightedCompleteGraph, path: Sequence[int]) -> tuple
 
 def _split_tour(r: Run):
     """The run's tour split at its best offset, and the averaging audit
-    w(P) >= (1 - 1/k) w(H) of the split (Alg.1 and Alg.4)."""
+    w(P) >= (1 - 1/k) w(H), which reads the splitter's path worths (Alg.1
+    and Alg.4)."""
     H = r.tour()
-    P = split_cycle_best_offset(r.g, H, r.k, objective="plain")
+    P, worths = split_cycle_best_offset(r.g, H, r.k)
     hw = cycle_weight(r.g, H.order)
-    return P, [AuditEntry("offset_plain", F(packing_weight(r.g, P)), F((r.k - 1) * hw, r.k))]
+    return P, [AuditEntry("offset_plain", F(sum(worths)), F((r.k - 1) * hw, r.k))]
 
 
 @_algorithm("alg1", "cycle", range(3, _NO_MAX),
@@ -260,27 +259,29 @@ def alg1_metric_kcp(
 @_algorithm("alg2", "cycle", range(4, _NO_MAX, 2),
             dict.fromkeys(METRIC, lambda k: F(7, 8) * F((k - 1) ** 2 + 1, k * (k - 1))))
 def ALG2(r: Run):
+    """Split the tour at the rotation of greatest (k-2) w(P) + 2 w~(P), the
+    tilde weight w~ taking a path's 1st, 3rd, ... edges, then close each
+    path into its heaviest cycle.  The rotations average ((k-1)^2 + 1)/k
+    w(H) (``offset_alg2``), and each path's best closure weighs at least
+    its worth / (k - 1) (``path_cycle[i]``); both audits read the
+    splitter's worths."""
     g, k, H = r.g, r.k, r.tour()
-    P = split_cycle_best_offset(g, H, k, objective="alg2")
+    P, worths = split_cycle_best_offset(g, H, k, [k - 2 + 2 * (i % 2 == 0) for i in range(k - 1)])
     cycles = tuple(best_cycle_from_path(g, p) for p in P.paths)
     hw = cycle_weight(g, H.order)
-    obj = split_objective_value(g, P, "alg2")
-    audits = [AuditEntry("offset_alg2", F(obj), F(((k - 1) ** 2 + 1) * hw, k))]
-    for i, (path, cyc) in enumerate(zip(P.paths, cycles)):
-        audits.append(
-            AuditEntry(
-                f"path_cycle[{i}]",
-                F(cycle_weight(g, cyc)),
-                F((k - 2) * path_weight(g, path) + 2 * tilde_weight(g, path), k - 1),
-            )
-        )
+    audits = [AuditEntry("offset_alg2", F(sum(worths)), F(((k - 1) ** 2 + 1) * hw, k))]
+    audits += [
+        AuditEntry(f"path_cycle[{i}]", F(cycle_weight(g, cyc)), F(worth, k - 1))
+        for i, (cyc, worth) in enumerate(zip(cycles, worths))
+    ]
     return KCyclePacking(k=k, cycles=cycles), audits
 
 
 def alg2_metric_kcp_even(
     g: WeightedCompleteGraph, k: int, tsp_solver: TspSolver = exact_max_tsp
 ) -> KCyclePacking:
-    """Tour -> pairing-aware split -> best closure per path (even k).
+    """Tour -> split at the rotation of greatest (k-2) w(P) + 2 w~(P) ->
+    best closure per path (even k, which ALG2's ``ks`` requires).
 
     On metric inputs the output weight is at least
     (1 - 1/k + 1/(k(k-1))) of the tour weight.

@@ -1,4 +1,4 @@
-"""MAX TSP solver and the offset-based cycle-to-path splitters.
+"""MAX TSP solver and the tour splitter.
 
 ``_held_karp`` is the one subset-DP kernel of the package: a maximum-weight
 Held-Karp over (subset, endpoint) states, vectorized per popcount layer.  It
@@ -16,6 +16,12 @@ is taken in int64 or Python ints.  Because the tour is
 exact, its weight dominates any approximate tour, so every downstream ratio
 guarantee that is stated for an approximate TSP black box remains valid
 with it plugged in.
+
+``split_cycle_best_offset`` is the one splitter: it cuts the tour into
+k-paths at the best of the k rotations, scored from the tour's edge
+weights with one weight per path position (Alg.1 and Alg.4 weigh every
+edge alike, Alg.2 its own way), and returns each path's worth, which the
+callers' audits read.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from collections import OrderedDict
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from typing import NamedTuple
+from operator import mul
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,9 +40,7 @@ from .graph import (
     HamiltonianCycle,
     KPathPacking,
     WeightedCompleteGraph,
-    path_weight,
     require_divisible,
-    tilde_weight,
 )
 
 # the most bytes one exact computation may allocate: a call whose estimate
@@ -376,41 +381,29 @@ def exact_max_tsp(g: WeightedCompleteGraph) -> HamiltonianCycle:
 
 
 def split_cycle_best_offset(
-    g: WeightedCompleteGraph, H: HamiltonianCycle, k: int, objective: str = "plain"
-) -> KPathPacking:
-    """Delete every k-th tour edge at the best of the k rotations.
+    g: WeightedCompleteGraph, H: HamiltonianCycle, k: int, weights: Sequence[int] = ()
+) -> tuple[KPathPacking, tuple]:
+    """Delete every k-th tour edge at the rotation of greatest worth.
 
-    Each path follows the tour direction starting just after a deleted edge.
-    ``plain`` maximizes total path weight (>= (1-1/k) w(H) by averaging);
-    ``alg2`` maximizes (k-2)*sum(w(P)) + 2*sum(tilde(P)) over the canonical
-    odd-position pairing, which averages to ((k-1)^2+1)/k * w(H) for even k.
+    Rotation r keeps the n/k paths that start at tour positions r + 1 + bk
+    and follow the tour.  A path is worth the sum of its edges, the i-th
+    weighed by ``weights[i]`` (1 each by default: the path's weight), and a
+    rotation the sum over its paths.  The tour's n edge weights are read
+    once, as Python ints, so that no weighted sum overflows.  Returns the
+    packing of the first rotation of greatest worth and the worth of each
+    of its paths.  With the default weights the total is >= (1 - 1/k) w(H):
+    the k rotations together count each tour edge k - 1 times.
     """
     n = g.n
     require_divisible(n, k)
-    if objective == "alg2" and k % 2 != 0:
-        raise ValueError("alg2 objective needs even k")
+    weights = weights or (1,) * (k - 1)
+    if len(weights) != k - 1:
+        raise ValueError(f"a {k}-path has {k - 1} edges, got {len(weights)} weights")
     order = H.order
-    best_val = best = None
-    for r in range(k):
-        paths = tuple(
-            tuple(order[(r + 1 + b * k + i) % n] for i in range(k)) for b in range(n // k)
-        )
-        P = KPathPacking(k=k, paths=paths)
-        val = split_objective_value(g, P, objective)
-        if best_val is None or val > best_val:
-            best_val, best = val, P
-    return best
-
-
-def split_objective_value(
-    g: WeightedCompleteGraph, packing: KPathPacking, objective: str
-) -> int:
-    """Objective value of a k-path packing under a splitter objective."""
-    total = sum(path_weight(g, p) for p in packing.paths)
-    if objective == "plain":
-        return total
-    if objective == "alg2":
-        return (packing.k - 2) * total + 2 * sum(
-            tilde_weight(g, p) for p in packing.paths
-        )
-    raise ValueError(f"unknown objective {objective!r}")
+    # edge[j] = w(order[j], order[j + 1]), positions mod n, twice round the tour
+    edge = g.w[order, order[1:] + order[:1]].tolist() * 2
+    starts = [range(r + 1, r + 1 + n, k) for r in range(k)]  # where rotation r's paths start
+    worths = [[sum(map(mul, weights, edge[j:j + k])) for j in s] for s in starts]
+    best = max(range(k), key=lambda r: sum(worths[r]))
+    paths = tuple(tuple(order[(j + i) % n] for i in range(k)) for j in starts[best])
+    return KPathPacking(k=k, paths=paths), tuple(worths[best])

@@ -36,6 +36,13 @@ def test_gen_divisibility_error(capsys):
     assert "not divisible" in err
 
 
+@pytest.mark.parametrize("klass, dist", [("general", "euclidean"), ("metric", "uniform")])
+def test_gen_refuses_a_distribution_of_another_class(capsys, klass, dist):
+    code, out, err = run_cli(capsys, "gen", "--n", "8", "--class", klass, "--dist", dist)
+    assert (code, out) == (2, "")
+    assert f"unsupported distribution {dist!r}" in err
+
+
 def test_gen_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "gen", "--n", "8", "--seed", "5")
     code, out2, _ = run_cli(capsys, "gen", "--n", "8", "--seed", "5")

@@ -114,6 +114,15 @@ def test_alg3_parity_errors():
         cp.alg3_matching_kcp_odd(g, 3)  # 10 not divisible by 3
 
 
+def test_default_plan_refuses_too_few_isolated_vertices():
+    g = generate_instance(12, "metric", seed=0)
+    matching = max_weight_matching_of_size(g, 4)  # leaves 4 of 12 vertices isolated
+    assert cp.default_plan(g, matching, 4, 1).isolated == tuple(
+        (v,) for v in sorted(set(range(12)) - matching.covered()))
+    with pytest.raises(ValueError, match="^isolated vertex count mismatch$"):
+        cp.default_plan(g, matching, 4, 2)
+
+
 def test_alg3_nonmetric_warns():
     g = generate_instance(10, "general", seed=5)
     with pytest.warns(UserWarning):

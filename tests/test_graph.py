@@ -11,6 +11,7 @@ from conftest import graph_from_matrix, uniform_graph
 from packgraph.fixtures import get_fixture
 from packgraph.graph import (
     FormatError,
+    HamiltonianCycle,
     KCyclePacking,
     KPathPacking,
     PackingError,
@@ -21,6 +22,7 @@ from packgraph.graph import (
     load_instance,
     packing_weight,
     path_weight,
+    require_block,
     save_instance,
     tilde_weight,
     validate_packing,
@@ -217,6 +219,17 @@ def test_validate_packing_examples():
         assert validate_packing(g, empty, k, "cycle") == "cycles need k >= 3"
         with pytest.raises(PackingError, match="^cycles need k >= 3$"):
             packing_weight(g, empty)
+
+
+def test_unknown_kind_and_repeated_tour_vertex_are_refused():
+    g = get_fixture("fig3").graph
+    message = "^kind must be cycle or path, got 'tree'$"
+    with pytest.raises(ValueError, match=message):
+        require_block(4, "tree")
+    with pytest.raises(ValueError, match=message):
+        validate_packing(g, FIG3_OPT, 4, "tree")
+    with pytest.raises(PackingError, match="^tour repeats a vertex$"):
+        HamiltonianCycle((0, 1, 1))
 
 
 def test_validate_packing_reports_a_packing_of_the_other_kind():

@@ -38,6 +38,8 @@ def test_perfect_matching_needs_even_n():
     g = generate_instance(5, "general", seed=0)
     with pytest.raises(ValueError):
         max_weight_perfect_matching(g)
+    with pytest.raises(ValueError, match="^perfect matching needs an even vertex count$"):
+        max_weight_perfect_matching_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
 
 def test_size_matching_fig2():
@@ -204,6 +206,18 @@ def test_certificate_rejects_corrupted_duals_blossoms_and_mates():
     swapped[a], swapped[b], swapped[c], swapped[d] = c, d, a, b
     rejects(mate=swapped)
     rejects(mate=[-1] + mate[1:])
+
+
+def test_certificate_rejects_a_wrong_size_and_a_blossom_that_is_not_full():
+    w = generate_instance(6, "general", seed=0).w.tolist()
+    mate, dual = [1, 0, 3, 2, 5, 4], [0] * 6
+    with pytest.raises(AssertionError, match="^certificate has the wrong size$"):
+        check_matching_certificate(w, mate[:4], dual, [])
+    with pytest.raises(AssertionError, match="^certificate has the wrong size$"):
+        check_matching_certificate(w, mate, dual[:5], [])
+    # no vertex of (0, 2, 4) is matched inside it
+    with pytest.raises(AssertionError, match="^blossom with positive dual is not full$"):
+        check_matching_certificate(w, mate, dual, [((0, 2, 4), 1)])
 
 
 def test_engine_on_weights_near_int64_max_equals_networkx():

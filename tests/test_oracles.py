@@ -204,6 +204,13 @@ def test_degenerate_k_is_refused(k, kind):
         best_k_tour_on_set(g, range(k), kind)
 
 
+def test_oracle_refuses_n_above_max_n():
+    g = generate_instance(8, "general", seed=0)
+    with pytest.raises(OracleCapError, match="^n=8 above max_n=7$"):
+        optimal_k_packing(g, 4, "cycle", max_n=7)
+    assert optimal_k_packing(g, 4, "cycle", max_n=8) == optimal_k_packing(g, 4, "cycle")
+
+
 def test_oracle_refuses_weights_beyond_int64_sums():
     g = uniform_graph(8, 1 << 60)
     with pytest.raises(ValueError, match="overflow"):

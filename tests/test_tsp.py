@@ -43,7 +43,6 @@ from packgraph.tsp import (
     _tour_footprint,
     exact_max_tsp,
     split_cycle_best_offset,
-    split_objective_value,
 )
 
 
@@ -456,8 +455,9 @@ def test_oracle_readers_agree_across_the_int16_rung(n, k, kind, over):
 def test_split_uniform_is_tight():
     g = uniform_graph(12, 5)
     H = HamiltonianCycle(order=tuple(range(12)))
-    P = split_cycle_best_offset(g, H, 4, "plain")
-    assert packing_weight(g, P) == 12 * 5 * 3 // 4
+    P, worths = split_cycle_best_offset(g, H, 4)
+    assert packing_weight(g, P) == sum(worths) == 12 * 5 * 3 // 4
+    assert worths == (15, 15, 15)
 
 
 def test_split_keeps_heavy_edge():
@@ -466,9 +466,14 @@ def test_split_keeps_heavy_edge():
     np.fill_diagonal(w, 0)
     w[2, 3] = w[3, 2] = 100
     g = graph_from_matrix(w)
-    P = split_cycle_best_offset(g, HamiltonianCycle(order=tuple(range(n))), k, "plain")
+    P, _ = split_cycle_best_offset(g, HamiltonianCycle(order=tuple(range(n))), k)
     pairs = {frozenset(e) for p in P.paths for e in zip(p, p[1:])}
     assert frozenset((2, 3)) in pairs
+
+
+def _alg2_weights(k):
+    """ALG2's edge weights: k - 2 on every path edge, 2 more on the 1st, 3rd, ..."""
+    return [k - 2 + 2 * (i % 2 == 0) for i in range(k - 1)]
 
 
 def test_split_alg2_objective_dominates_all_offsets_average():
@@ -477,9 +482,12 @@ def test_split_alg2_objective_dominates_all_offsets_average():
         H = exact_max_tsp(g)
         hw = cycle_weight(g, H.order)
         k = 4
-        P = split_cycle_best_offset(g, H, k, "alg2")
-        obj = split_objective_value(g, P, "alg2")
+        P, worths = split_cycle_best_offset(g, H, k, _alg2_weights(k))
+        obj = sum(worths)
         assert Fraction(obj) >= Fraction(((k - 1) ** 2 + 1) * hw, k)
+        assert worths == tuple(
+            (k - 2) * path_weight(g, p) + 2 * tilde_weight(g, p) for p in P.paths
+        )
         # and it really is the best of the k offsets
         n = g.n
         for off in range(k):
@@ -497,9 +505,9 @@ def test_split_errors():
     g = uniform_graph(12, 1)
     H = HamiltonianCycle(order=tuple(range(12)))
     with pytest.raises(ValueError):
-        split_cycle_best_offset(g, H, 5, "plain")
-    with pytest.raises(ValueError):
-        split_cycle_best_offset(g, H, 3, "alg2")
+        split_cycle_best_offset(g, H, 5)
+    with pytest.raises(ValueError, match="a 4-path has 3 edges, got 2 weights"):
+        split_cycle_best_offset(g, H, 4, (1, 1))
 
 
 @given(st.integers(0, 500), st.sampled_from([3, 4, 6]))
@@ -508,8 +516,44 @@ def test_split_plain_guarantee(seed, k):
     g = generate_instance(12, "general", seed=seed)
     H = exact_max_tsp(g)
     hw = cycle_weight(g, H.order)
-    P = split_cycle_best_offset(g, H, k, "plain")
+    P, worths = split_cycle_best_offset(g, H, k)
     assert Fraction(packing_weight(g, P)) >= Fraction((k - 1) * hw, k)
+    assert worths == tuple(path_weight(g, p) for p in P.paths)
+
+
+@st.composite
+def _split_cases(draw):
+    """A tour on n <= 12 vertices of a class with many ties, a k dividing n,
+    and non-negative edge weights for a k-path (or none: the default)."""
+    n = draw(st.integers(3, 12))
+    k = draw(st.sampled_from([k for k in range(2, n + 1) if n % k == 0]))
+    g = generate_instance(n, draw(st.sampled_from(["zero_one", "one_two"])),
+                          seed=draw(st.integers(0, 10**6)))
+    order = tuple(draw(st.permutations(range(n))))
+    weights = draw(st.one_of(st.just(()), st.lists(st.integers(0, 5), min_size=k - 1,
+                                                   max_size=k - 1)))
+    return g, HamiltonianCycle(order=order), k, tuple(weights)
+
+
+@given(_split_cases())
+@settings(max_examples=200, deadline=None)
+def test_split_takes_the_first_rotation_of_greatest_worth(case):
+    g, H, k, weights = case
+    n, order = g.n, H.order
+    coef = weights or (1,) * (k - 1)
+
+    def worth(path):
+        return sum(c * g.weight(u, v) for c, u, v in zip(coef, path, path[1:]))
+
+    rotations = [
+        tuple(tuple(order[(r + 1 + b * k + i) % n] for i in range(k)) for b in range(n // k))
+        for r in range(k)
+    ]
+    totals = [sum(map(worth, paths)) for paths in rotations]
+    first_best = totals.index(max(totals))
+    P, worths = split_cycle_best_offset(g, H, k, weights)
+    assert P.paths == rotations[first_best]
+    assert worths == tuple(map(worth, P.paths))
 
 
 def test_metric_tsp_lower_bounds():
