@@ -382,7 +382,7 @@ def exact_max_tsp(g: WeightedCompleteGraph) -> HamiltonianCycle:
 
 def split_cycle_best_offset(
     g: WeightedCompleteGraph, H: HamiltonianCycle, k: int, weights: Sequence[int] = ()
-) -> tuple[KPathPacking, tuple]:
+) -> tuple[KPathPacking, tuple[int, ...]]:
     """Delete every k-th tour edge at the rotation of greatest worth.
 
     Rotation r keeps the n/k paths that start at tour positions r + 1 + bk
@@ -403,7 +403,7 @@ def split_cycle_best_offset(
     # edge[j] = w(order[j], order[j + 1]), positions mod n, twice round the tour
     edge = g.w[order, order[1:] + order[:1]].tolist() * 2
     starts = [range(r + 1, r + 1 + n, k) for r in range(k)]  # where rotation r's paths start
-    worths = [[sum(map(mul, weights, edge[j:j + k])) for j in s] for s in starts]
+    worths = [[sum(map(mul, weights, edge[j:j + k - 1])) for j in s] for s in starts]
     best = max(range(k), key=lambda r: sum(worths[r]))
     paths = tuple(tuple(order[(j + i) % n] for i in range(k)) for j in starts[best])
     return KPathPacking(k=k, paths=paths), tuple(worths[best])
