@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from brute_force import brute_force_metric_violation
 from conftest import graph_from_matrix, uniform_graph
+from packgraph import graph
 from packgraph.fixtures import get_fixture
 from packgraph.graph import (
     FormatError,
@@ -173,6 +174,12 @@ def test_generate_instance_errors():
         generate_instance(2, "general")
     with pytest.raises(ValueError):
         generate_instance(8, "lattice")
+
+
+def test_generate_instance_refuses_an_instance_its_validator_rejects(monkeypatch):
+    monkeypatch.setattr(graph, "check_weight_class", lambda g, tag: False)
+    with pytest.raises(AssertionError, match="^generated instance fails its class validator$"):
+        generate_instance(8, "metric", seed=0)
 
 
 def test_tilde_weight_examples():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -218,6 +219,37 @@ def test_certificate_rejects_a_wrong_size_and_a_blossom_that_is_not_full():
     # no vertex of (0, 2, 4) is matched inside it
     with pytest.raises(AssertionError, match="^blossom with positive dual is not full$"):
         check_matching_certificate(w, mate, dual, [((0, 2, 4), 1)])
+
+
+@pytest.mark.parametrize(
+    "weights, mate, dual, message",
+    [
+        # a non-tight matched edge in row 0, an infeasible pair in row 2
+        ({(2, 3): 5}, [1, 0, 3, 2], [1, 1, 0, 0], "matched edge (0, 1) is not tight"),
+        # an infeasible pair in row 0, a non-tight matched edge in row 2
+        ({(0, 1): 5}, [1, 0, 3, 2], [0, 0, 1, 1], "dual infeasible on edge (0, 1)"),
+        # both in row 0: the non-tight matched edge, then the infeasible pair
+        ({(0, 2): 5}, [1, 0, 3, 2], [1, 1, 0, 0], "matched edge (0, 1) is not tight"),
+        # both in row 0: the infeasible pair, then the non-tight matched edge
+        ({(0, 1): 5}, [2, 3, 0, 1], [1, 0, 1, 0], "dual infeasible on edge (0, 1)"),
+    ],
+)
+def test_certificate_names_the_first_faulty_pair(weights, mate, dual, message):
+    w = [[0] * 4 for _ in range(4)]
+    for (u, v), x in weights.items():
+        w[u][v] = w[v][u] = x
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        check_matching_certificate(w, mate, dual, [])
+
+
+def test_size_matching_refuses_a_perfect_matching_that_pairs_two_dummies(monkeypatch):
+    # n = 4, p = 1: vertices 4 and 5 are the dummies
+    monkeypatch.setattr(
+        matching, "max_weight_perfect_matching_matrix", lambda w: [(0, 1), (2, 3), (4, 5)]
+    )
+    g = generate_instance(4, "general", seed=0)
+    with pytest.raises(AssertionError, match="^dummy reduction produced wrong cardinality$"):
+        max_weight_matching_of_size(g, 1)
 
 
 def test_engine_on_weights_near_int64_max_equals_networkx():

@@ -12,9 +12,10 @@ fixture, the exit code, stdout and written files of ``fixtures``; the exit
 code, stdout and stderr of a list of usage errors; and, per n = 25..40, the
 matching engine's ``(mate, dual, blossoms)`` on the four classes at seed 0,
 for the full matrix and for the dummy-vertex matrix of the size-n/4
-matching.  A refactor that keeps every packing, tie-breaks included, keeps
-every digest.  After a deliberate
-change of output, rewrite the file with
+matching; and per even n = 6..24, the same on the tie-heavy classes
+zero_one and one_two at seeds 0-2.  A refactor that keeps every packing,
+tie-breaks included, keeps every digest.  After a deliberate change of
+output, rewrite the file with
 
     python tests/test_pinned_outputs.py --record
 """
@@ -27,6 +28,7 @@ import os
 import sys
 import tempfile
 import warnings
+from itertools import product
 from pathlib import Path
 
 # so that the script runs without installing the package
@@ -49,6 +51,8 @@ LARGE_ORACLE_N = range(13, 17)
 BENCH = ("bench", "--k", "4", "--class", "one_two", "--n", "8", "--count", "3",
          "--algos", "alg1,alg2,alg4,alg5,kpp-combined,alg6,alg7,alg8,general4pp,reduce12")
 ENGINE_N = range(25, 41)
+TIE_ENGINE_N = range(6, 25, 2)
+TIE_CLASSES = ("zero_one", "one_two")
 # run in a scratch directory holding g.pg (gen --n 8 --class metric --seed 1)
 # and p.txt, a plan file
 USAGE_ERRORS = (
@@ -110,12 +114,12 @@ def _usage_errors() -> dict:
             os.chdir(cwd)
 
 
-def _engine_runs(n: int) -> list:
+def _engine_runs(n: int, classes=CLASSES, seeds=(0,)) -> list:
     """The engine's (mate, dual, blossoms) on the doubled weights of each
-    class's instance at seed 0 and of its size-n/4 dummy-vertex matrix."""
+    class's instance at each seed and of its size-n/4 dummy-vertex matrix."""
     runs = []
-    for klass in CLASSES:
-        g = generate_instance(n, klass, seed=0)
+    for klass, seed in product(classes, seeds):
+        g = generate_instance(n, klass, seed=seed)
         d, big = n - 2 * (n // 4), 1 + g.total_weight()
         dummy = [row + [big] * d for row in g.w.tolist()] + [[big] * n + [0] * d] * d
         for w in (g.w.tolist(), dummy):
@@ -167,6 +171,8 @@ def compute() -> dict:
             digests[f"usage error: {argv}"] = digest
         for n in ENGINE_N:
             digests[f"_blossom n={n}"] = _digest(_engine_runs(n))
+        for n in TIE_ENGINE_N:
+            digests[f"_blossom ties n={n}"] = _digest(_engine_runs(n, TIE_CLASSES, SEEDS))
     return digests
 
 
