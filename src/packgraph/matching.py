@@ -14,6 +14,14 @@ creation order), so both return the same matching, ties included.  Weights
 and duals are doubled and held as Python ints, so every quantity is exact
 whatever the size of the weights.
 
+The engine spends its time scanning the row of each vertex it pops.  Each
+scan is one pass over ``zip(inblossom, dual, row)``: it computes every
+slack once, calls an edge allowable exactly when its slack is zero (the
+``_blossom`` docstring says why networkx's allowed-edge marks add nothing),
+and compares against least slacks it keeps as ints.  Weights are read once
+per row as Python ints (``ndarray.tolist``), never one numpy scalar at a
+time.
+
 Every engine result is checked by ``check_matching_certificate``: the vertex
 and blossom duals the engine ends with must be feasible, tight on each
 matched edge, and every blossom with a positive dual must be full, which
@@ -33,18 +41,20 @@ from .graph import Matching, WeightedCompleteGraph, make_matching
 
 def max_weight_perfect_matching_matrix(w: Sequence[Sequence[int]]) -> list:
     """Maximum-weight perfect matching of a complete graph given as a square
-    symmetric weight matrix.  Returns sorted (u, v) pairs with u < v, after
-    ``check_matching_certificate`` has accepted the engine's duals."""
+    symmetric weight matrix (a numpy integer matrix, or lists of Python
+    ints).  Returns sorted (u, v) pairs with u < v, after
+    ``check_matching_certificate`` has accepted the engine's duals.  Only
+    the upper triangle of ``w`` is read."""
     n = len(w)
     if n % 2 != 0:
         raise ValueError("perfect matching needs an even vertex count")
+    rows = w.tolist() if hasattr(w, "tolist") else w
     w2 = [[0] * n for _ in range(n)]
-    for u in range(n):
-        row, row2 = w[u], w2[u]
+    for u, (row, row2) in enumerate(zip(rows, w2)):
         for v in range(u + 1, n):
-            row2[v] = w2[v][u] = 2 * int(row[v])
+            row2[v] = w2[v][u] = 2 * row[v]
     mate, dual, blossoms = _blossom(w2)
-    check_matching_certificate(w, mate, dual, blossoms)
+    check_matching_certificate(rows, mate, dual, blossoms)
     return [(u, v) for u, v in enumerate(mate) if u < v]
 
 
@@ -60,7 +70,8 @@ def check_matching_certificate(
     non-negative and zero on matched pairs, and every blossom with positive z
     has an odd vertex count and is full, with all but one vertex matched
     inside it.  Then no perfect matching is heavier (LP duality).  Only the
-    upper triangle of ``w`` is read, all in exact integers.
+    upper triangle of ``w`` is read, a row at a time, all in exact integers;
+    a failure names the first faulty pair in (i, j) order.
     """
     n = len(w)
     if len(mate) != n or len(dual) != n:
@@ -83,10 +94,11 @@ def check_matching_certificate(
             row = inner[i]
             for j in verts:
                 row[j] += 2 * z
+    rows = w.tolist() if hasattr(w, "tolist") else w
     for i in range(n):
-        di, row, extra, mi = dual[i], w[i], inner[i], mate[i]
+        di, row, extra, mi = dual[i], rows[i], inner[i], mate[i]
         for j in range(i + 1, n):
-            s = di + dual[j] - 2 * int(row[j]) + extra[j]
+            s = di + dual[j] - 2 * row[j] + extra[j]
             if s < 0:
                 raise AssertionError(f"dual infeasible on edge ({i}, {j})")
             if s and mi == j:
@@ -114,6 +126,23 @@ def _blossom(w2: list) -> tuple:
     doubled vertex duals, and ``(vertices, z)`` for every blossom left, in
     creation order.  Labels are 0 (free), 1 (S), 2 (T) and 5 (S with a
     breadcrumb); edges are ``(v, w)`` tuples and -1 stands for "none".
+
+    The slack of an edge between two top-level blossoms is ``dual[v] +
+    dual[w] - w2[v][w]``, and it is never negative.  An edge is allowable
+    exactly when its slack is 0, so no allowed-edge marks are kept.
+    networkx marks an edge when it finds it tight (in a scan, as the delta
+    edge, or on the path of an expanding T-blossom), and every marked edge
+    has an endpoint labelled S at that moment.  An S vertex stays S for the
+    rest of the stage and each delta lowers its dual, while the other
+    endpoint's dual rises by at most that delta (T), or stays or falls
+    (free or S).  So no delta raises a marked edge's slack above 0, and
+    the marks only ever name edges whose slack is 0.
+
+    ``freeslack[w]`` holds the slack of ``bestedge[w]`` (None with it) for
+    the vertices whose own label is 0.  The edge's other end is S, so its
+    slack falls by each delta while w's top-level blossom is free, stays
+    while it is T, and is not read again once it is S; the delta step
+    applies that.
     """
     n = len(w2)
     nb = 2 * n
@@ -123,6 +152,7 @@ def _blossom(w2: list) -> tuple:
     label = [0] * nb
     labeledge = [None] * nb
     bestedge = [None] * nb
+    freeslack = [None] * n
     inblossom = list(range(n))
     parent = [-1] * nb
     base = list(range(n)) + [-1] * n
@@ -131,12 +161,10 @@ def _blossom(w2: list) -> tuple:
     mybest = [None] * nb
     zdual = {}  # blossom id -> z, in creation order
     free = list(range(nb - 1, n - 1, -1))
-    allow = []
     queue = []
 
     def slack(e):
-        i, j = e
-        return dual[i] + dual[j] - w2[i][j]
+        return None if e is None else dual[e[0]] + dual[e[1]] - w2[e[0]][e[1]]
 
     def leaves(b):
         # networkx's order: a stack of sub-blossoms, popped from the end
@@ -157,9 +185,12 @@ def _blossom(w2: list) -> tuple:
             b = inblossom[w]
             label[w] = label[b] = t
             labeledge[w] = labeledge[b] = (v, w) if v >= 0 else None
-            bestedge[w] = bestedge[b] = None
+            bestedge[w] = bestedge[b] = freeslack[w] = None
             if t == 1:
-                queue.extend(leaves(b))
+                if b < n:
+                    queue.append(b)
+                else:
+                    queue.extend(leaves(b))
                 return
             v = base[b]
             w, t = mate[v], 1
@@ -224,16 +255,22 @@ def _blossom(w2: list) -> tuple:
         for s in path:
             cand, mybest[s] = mybest[s], None
             if cand is None:
-                cand = [(x, y) for x in leaves(s) for y in vertices if inblossom[y] != b]
-            for k in cand:
-                i, j = k
-                if inblossom[j] == b:
-                    i, j = j, i
-                bj = inblossom[j]
-                if bj != b and label[bj] == 1:
-                    ks = dual[i] + dual[j] - w2[i][j]
-                    if bj not in bestto or ks < bestto[bj][0]:
-                        bestto[bj] = ks, k
+                for x in leaves(s) if s >= n else (s,):
+                    dx = dual[x]
+                    for y, by, dy, wy in zip(vertices, inblossom, dual, w2[x]):
+                        if by != b and label[by] == 1:
+                            ks = dx + dy - wy
+                            old = bestto.get(by)
+                            if old is None or ks < old[0]:
+                                bestto[by] = ks, (x, y)
+            else:
+                for k in cand:
+                    i, j = k if inblossom[k[1]] != b else k[::-1]
+                    bj = inblossom[j]
+                    if bj != b and label[bj] == 1:
+                        ks = dual[i] + dual[j] - w2[i][j]
+                        if bj not in bestto or ks < bestto[bj][0]:
+                            bestto[bj] = ks, k
             bestedge[s] = None
         mybest[b] = [k for _, k in bestto.values()]
         bestedge[b] = min(bestto.values(), key=itemgetter(0), default=(0, None))[1]
@@ -252,26 +289,19 @@ def _blossom(w2: list) -> tuple:
             cb, eb = childs[b], edges[b]
             entrychild = inblossom[labeledge[b][1]]
             j = cb.index(entrychild)
+            jstep = 1 if j & 1 else -1
             if j & 1:
                 j -= len(cb)
-                jstep = 1
-            else:
-                jstep = -1
             v, w = labeledge[b]
             while j != 0:
-                if jstep == 1:
-                    p, q = eb[j]
-                else:
-                    q, p = eb[j - 1]
+                q = eb[j][1] if jstep == 1 else eb[j - 1][0]
                 label[w] = label[q] = 0
                 assign_label(w, 2, v)
-                allow[p][q] = allow[q][p] = 1
                 j += jstep
                 if jstep == 1:
                     v, w = eb[j]
                 else:
                     w, v = eb[j - 1]
-                allow[v][w] = allow[w][v] = 1
                 j += jstep
             bw = cb[j]
             label[w] = label[bw] = 2
@@ -307,11 +337,9 @@ def _blossom(w2: list) -> tuple:
             yield (t, v)
         cb, eb = childs[b], edges[b]
         i = j = cb.index(t)
+        jstep = 1 if i & 1 else -1
         if i & 1:
             j -= len(cb)
-            jstep = 1
-        else:
-            jstep = -1
         while j != 0:
             j += jstep
             t = cb[j]
@@ -351,41 +379,40 @@ def _blossom(w2: list) -> tuple:
         label[:] = [0] * nb
         labeledge[:] = [None] * nb
         bestedge[:] = [None] * nb
+        freeslack[:] = [None] * n
         for b in zdual:
             mybest[b] = None
-        allow[:] = [bytearray(n) for _ in vertices]
         queue.clear()
-        for v in vertices:
-            if mate[v] == -1 and label[inblossom[v]] == 0:
+        for v, b, m in zip(vertices, inblossom, mate):
+            if m == -1 and b == v:
+                label[v] = 1
+                queue.append(v)
+            elif m == -1 and label[b] == 0:
                 assign_label(v, 1, -1)
         augmented = False
         while True:
             while queue and not augmented:
                 v = queue.pop()
                 bv = inblossom[v]
-                dv, row, arow = dual[v], w2[v], allow[v]
+                dv, row = dual[v], w2[v]
                 # Only this scan and add_blossom write bestedge[bv] while v
                 # is scanned, so its slack is kept here.
-                bslack = None if bestedge[bv] is None else slack(bestedge[bv])
-                for w in vertices:
-                    if w == v:
+                be = bestedge[bv]
+                bslack = None if be is None else dual[be[0]] + dual[be[1]] - w2[be[0]][be[1]]
+                for w, bw, dw, x in zip(vertices, inblossom, dual, row):
+                    if bw == bv:
                         continue
-                    bw = inblossom[w]
-                    if bv == bw:
+                    kslack = dv + dw - x
+                    if kslack > 0:
+                        # Not allowable: track least-slack edges.
+                        if label[bw] == 1:
+                            if bslack is None or kslack < bslack:
+                                bestedge[bv], bslack = (v, w), kslack
+                        elif label[w] == 0:
+                            s = freeslack[w]
+                            if s is None or kslack < s:
+                                bestedge[w], freeslack[w] = (v, w), kslack
                         continue
-                    if not arow[w]:
-                        kslack = dv + dual[w] - row[w]
-                        if kslack > 0:
-                            # Not allowable: track least-slack edges.
-                            if label[bw] == 1:
-                                if bslack is None or kslack < bslack:
-                                    bestedge[bv], bslack = (v, w), kslack
-                            elif label[w] == 0:
-                                e = bestedge[w]
-                                if e is None or kslack < dual[e[0]] + dual[e[1]] - w2[e[0]][e[1]]:
-                                    bestedge[w] = (v, w)
-                            continue
-                        arow[w] = allow[w][v] = 1
                     lb = label[bw]
                     if lb == 0:
                         assign_label(w, 2, v)
@@ -397,7 +424,7 @@ def _blossom(w2: list) -> tuple:
                             break
                         add_blossom(top, v, w)
                         bv = inblossom[v]
-                        bslack = None if bestedge[bv] is None else slack(bestedge[bv])
+                        bslack = slack(bestedge[bv])
                     elif label[w] == 0:
                         label[w] = 2
                         labeledge[w] = (v, w)
@@ -407,11 +434,9 @@ def _blossom(w2: list) -> tuple:
             # No augmenting path under the current duals: find the least
             # delta that admits a new edge or empties a T-blossom's dual.
             deltatype, delta, deltaedge, deltablossom = -1, 0, None, -1
-            for v in vertices:
-                if label[inblossom[v]] == 0 and bestedge[v] is not None:
-                    d = slack(bestedge[v])
-                    if deltatype == -1 or d < delta:
-                        deltatype, delta, deltaedge = 2, d, bestedge[v]
+            for v, bv, d in zip(vertices, inblossom, freeslack):
+                if d is not None and label[bv] == 0 and (deltatype == -1 or d < delta):
+                    deltatype, delta, deltaedge = 2, d, bestedge[v]
             for b in (*vertices, *zdual):
                 if parent[b] == -1 and label[b] == 1 and bestedge[b] is not None:
                     d = slack(bestedge[b]) // 2
@@ -425,12 +450,14 @@ def _blossom(w2: list) -> tuple:
                 # a certificate.
                 deltatype, delta = 1, max(0, min(dual, default=0))
 
-            for v in vertices:
-                lb = label[inblossom[v]]
+            for v, bv in zip(vertices, inblossom):
+                lb = label[bv]
                 if lb == 1:
                     dual[v] -= delta
                 elif lb == 2:
                     dual[v] += delta
+                elif freeslack[v] is not None:
+                    freeslack[v] -= delta
             for b in zdual:
                 if parent[b] == -1:
                     if label[b] == 1:
@@ -443,9 +470,7 @@ def _blossom(w2: list) -> tuple:
             if deltatype == 4:
                 _trampoline(expand_blossom, deltablossom, False)
             else:
-                v, w = deltaedge
-                allow[v][w] = allow[w][v] = 1
-                queue.append(v)
+                queue.append(deltaedge[0])
 
         if not augmented:
             break
