@@ -24,8 +24,9 @@ The per-call table times the exact DPs and the matching engine alone
 (``CALL_SCRIPT``) in subprocesses of each checkout: ``CALL_PROCESSES``
 per side in each of ``--pairs`` pairs, the sides alternating, the parent
 first in even pairs.  Each subprocess times every call on
-``CALL_REPEATS`` metric instances, after one call that builds the index
-tables the later ones find, and keeps the median of these times.  Some
+``CALL_REPEATS`` instances of the call's class (metric, except the
+general n = 200 matching), after one call that builds the index tables
+the later ones find, and keeps the median of these times.  Some
 fresh processes run every call slower than the rest, so a side's row is
 read from these per-process medians: the table holds each side's median
 [Q1, Q3] over them, in ms, their ratio, and the pairs the change wins
@@ -55,8 +56,8 @@ CALL_REPEATS = 5
 CALL_PROCESSES = 3
 
 # run in a checkout: per call, the seconds of CALL_REPEATS calls (argv[1])
-# on metric instances, after one call that builds the index tables, then
-# the bytes the memo keeps and the process's peak RSS in KiB
+# on instances of the call's class, after one call that builds the index
+# tables, then the bytes the memo keeps and the process's peak RSS in KiB
 CALL_SCRIPT = """
 import json, resource, sys, time
 from packgraph import tsp
@@ -66,18 +67,20 @@ from packgraph.oracles import optimal_k_packing
 from packgraph.tsp import exact_max_tsp
 
 CALLS = {
-    "exact_max_tsp(n=16)": (16, exact_max_tsp),
-    "exact_max_tsp(n=18)": (18, exact_max_tsp),
-    "exact_max_tsp(n=20)": (20, exact_max_tsp),
-    "optimal_k_packing(n=14, k=7, cycle)": (14, lambda g: optimal_k_packing(g, 7, "cycle")),
-    "optimal_k_packing(n=12, k=4, path)": (12, lambda g: optimal_k_packing(g, 4, "path")),
-    "optimal_k_packing(n=21, k=3, cycle)": (21, lambda g: optimal_k_packing(g, 3, "cycle")),
-    "max_weight_perfect_matching(n=80)": (80, max_weight_perfect_matching),
-    "max_weight_matching_of_size(n=80, p=20)": (80, lambda g: max_weight_matching_of_size(g, 20)),
+    "exact_max_tsp(n=16)": (16, "metric", exact_max_tsp),
+    "exact_max_tsp(n=18)": (18, "metric", exact_max_tsp),
+    "exact_max_tsp(n=20)": (20, "metric", exact_max_tsp),
+    "optimal_k_packing(n=14, k=7, cycle)": (14, "metric", lambda g: optimal_k_packing(g, 7, "cycle")),
+    "optimal_k_packing(n=12, k=4, path)": (12, "metric", lambda g: optimal_k_packing(g, 4, "path")),
+    "optimal_k_packing(n=21, k=3, cycle)": (21, "metric", lambda g: optimal_k_packing(g, 3, "cycle")),
+    "max_weight_perfect_matching(n=80)": (80, "metric", max_weight_perfect_matching),
+    "max_weight_matching_of_size(n=80, p=20)": (80, "metric", lambda g: max_weight_matching_of_size(g, 20)),
+    "max_weight_perfect_matching(n=200, metric)": (200, "metric", max_weight_perfect_matching),
+    "max_weight_perfect_matching(n=200, general)": (200, "general", max_weight_perfect_matching),
 }
 out = {}
-for name, (n, call) in CALLS.items():
-    graphs = [generate_instance(n, "metric", seed=s) for s in range(int(sys.argv[1]) + 1)]
+for name, (n, klass, call) in CALLS.items():
+    graphs = [generate_instance(n, klass, seed=s) for s in range(int(sys.argv[1]) + 1)]
     call(graphs[0])
     seconds = []
     for g in graphs[1:]:
